@@ -40,11 +40,10 @@
 //!   residency/quarantine timelines as `chrome_trace_<app>.json` for
 //!   `chrome://tracing` / Perfetto.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use porsche::chrome::chrome_trace_json;
+use porsche::chrome::{chrome_trace_json, json_escape};
 use porsche::probe::AttributedLedger;
 use proteus::experiment::{demo_scenario, plan_for, resolve_target, RunTarget, Scale, EXPERIMENTS};
 use proteus::runner::{default_workers, PlanMetrics};
@@ -209,23 +208,6 @@ fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, outdir
     }
 }
 
-/// Escape a string for inclusion in a JSON document (the summary has no
-/// exotic characters, but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn metrics_json(m: &PlanMetrics, indent: &str) -> String {
     format!(
         "{indent}{{\n\
@@ -259,11 +241,11 @@ fn host_json(jobs: usize) -> String {
     )
 }
 
-/// Hand-rolled `summary.json` (the workspace carries no JSON
-/// dependency; the schema is small and fixed).
 /// Largest per-process × per-callsite sinks surfaced in `summary.json`.
 const TOP_SINKS: usize = 5;
 
+/// Hand-rolled `summary.json` (the workspace carries no JSON
+/// dependency; the schema is small and fixed).
 fn summary_json(
     metrics: &[PlanMetrics],
     traces: &[TraceInfo],

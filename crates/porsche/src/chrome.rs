@@ -55,7 +55,9 @@ fn push_meta(out: &mut String, meta: &str, pid: u64, tid: u64, value: &str) {
     );
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` for a JSON string literal: quotes, backslashes and
+/// control characters. The workspace's one JSON string escaper.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -285,7 +287,7 @@ pub fn chrome_trace_json(
         "{{\"traceEvents\":[{events_json}\n],\"displayTimeUnit\":\"ms\",\
          \"otherData\":{{\"scenario\":\"{}\",\"clock\":\"simulated cycles (unscaled in ts/dur)\",\
          \"total_cycles\":{total_cycles},\"dropped_events\":{dropped}}}}}",
-        escape(scenario)
+        json_escape(scenario)
     )
 }
 
@@ -294,6 +296,13 @@ mod tests {
     use super::*;
     use crate::probe::Callsite;
     use proteus_rfu::TupleKey;
+
+    #[test]
+    fn json_escape_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(json_escape("tab\there\n"), "tab\\u0009here\\u000a");
+        assert_eq!(json_escape("plain, ünïcode"), "plain, ünïcode");
+    }
 
     #[test]
     fn exporter_builds_process_and_pfu_tracks() {

@@ -8,12 +8,16 @@
 //! * [`machine::Machine`] — a complete ProteanARM workstation:
 //!   [`proteus_cpu::Cpu`] core + [`proteus_rfu::Rfu`] reconfigurable
 //!   function unit + [`porsche::Kernel`];
-//! * [`scenario::Scenario`] — one experimental run: an application,
-//!   an instance count, a quantum, a replacement policy and a dispatch
-//!   mode, with end-to-end checksum validation;
-//! * [`experiment`] — generators for every figure of the paper's
-//!   evaluation (Figure 2, Figure 3, the speedup claim) plus the
-//!   ablations listed in DESIGN.md;
+//! * [`scenario::Scenario`] — one experimental run: an application
+//!   (or a cyclic mix of them), an instance count, a quantum, a
+//!   replacement policy and a dispatch mode, with end-to-end checksum
+//!   validation. An optional arrival schedule injects the instances
+//!   over time instead of at cycle 0 (the §6 dynamic loads), and the
+//!   result reports per-job turnaround;
+//! * [`experiment`] — an [`runner::ExperimentPlan`] for every figure of
+//!   the paper's evaluation (Figure 2, Figure 3, the speedup claim)
+//!   plus the ablations, dynamic loads and fault campaign listed in
+//!   DESIGN.md;
 //! * [`runner`] — declarative [`runner::ExperimentPlan`]s executed on a
 //!   worker pool, with deterministic assembly (byte-identical CSVs at
 //!   any `--jobs` count) and throughput metrics;
@@ -38,14 +42,12 @@
 //! # }
 //! ```
 
-pub mod dynamic;
 pub mod experiment;
 pub mod machine;
 pub mod runner;
 pub mod scenario;
 pub mod series;
 
-pub use dynamic::{DynamicLoad, DynamicResult};
 pub use machine::{Machine, MachineConfig};
 pub use porsche::{AttributedLedger, Callsite, CycleLedger, Event, EventSink, Probe, Tag};
 pub use runner::{ExperimentPlan, JobOutput, PlanMetrics, ScenarioJob};

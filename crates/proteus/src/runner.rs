@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use porsche::probe::{AttributedLedger, CycleLedger};
 
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioResult};
 use crate::series::{BreakdownRow, BreakdownSet, Series, SeriesSet};
 
 /// What one job contributes to the figure.
@@ -70,19 +70,17 @@ impl JobOutput {
         }
     }
 
-    /// Attach a cycle-attribution row for `x`.
-    #[must_use]
-    pub fn with_breakdown(mut self, x: f64, total: u64, ledger: CycleLedger) -> Self {
-        self.breakdown.push((x, total, ledger));
-        self
-    }
-
-    /// Attach the run's per-process × per-callsite ledger (absorbed into
-    /// the plan-wide fold that feeds the flamegraph exporter).
-    #[must_use]
-    pub fn with_attribution(mut self, attributed: AttributedLedger) -> Self {
-        self.attributed.absorb(&attributed);
-        self
+    /// One scenario run as the point `(x, y)`, carrying the run's
+    /// cycle-attribution row and per-process × per-callsite ledger; the
+    /// run's makespan is the job's simulated-cycle count.
+    pub fn scenario(x: f64, y: f64, result: ScenarioResult) -> Self {
+        Self {
+            points: vec![(x, y)],
+            sim_cycles: result.makespan,
+            breakdown: vec![(x, result.total_cycles, result.ledger)],
+            attributed: result.attributed,
+            extra: Vec::new(),
+        }
     }
 
     /// Attach a point on a different series than the job's own.
@@ -201,9 +199,7 @@ impl ExperimentPlan {
         self.push_job(series, move || {
             let result = scenario.run().unwrap_or_else(|e| panic!("{label} x={x}: {e}"));
             assert!(result.all_valid(), "{label} x={x}: checksum mismatch");
-            JobOutput::point(x, result.makespan as f64, result.makespan)
-                .with_breakdown(x, result.total_cycles, result.ledger)
-                .with_attribution(result.attributed)
+            JobOutput::scenario(x, result.makespan as f64, result)
         });
     }
 
@@ -237,7 +233,7 @@ impl ExperimentPlan {
     /// # Panics
     ///
     /// Re-raises the first job panic (checksum mismatches and simulation
-    /// errors are job panics, exactly as in the old eager generators).
+    /// errors are job panics).
     pub fn execute(self, workers: usize) -> (SeriesSet, PlanMetrics) {
         let figure = self.figure;
         let n = self.jobs.len();
@@ -295,9 +291,6 @@ impl ExperimentPlan {
         }
 
         // Deterministic assembly: plan order, first-mention series order.
-        // PROTEUS_JOB_TIMES=1 dumps one timing line per job to stderr —
-        // the cheap way to see where host time goes without a profiler.
-        let job_times = std::env::var_os("PROTEUS_JOB_TIMES").is_some();
         let mut set = SeriesSet::new(figure.clone());
         let mut breakdown = BreakdownSet::new(figure.clone());
         let mut attributed = AttributedLedger::default();
@@ -311,14 +304,6 @@ impl ExperimentPlan {
                 debug_assert!(false, "job {i} produced no result");
                 continue;
             };
-            if job_times {
-                eprintln!(
-                    "[job {i:>3}] {:>8.3}s {:>14} cyc {:>9.3e} cyc/s  {name}",
-                    dur.as_secs_f64(),
-                    output.sim_cycles,
-                    output.sim_cycles as f64 / dur.as_secs_f64().max(1e-9),
-                );
-            }
             job_wall += dur;
             sim_cycles += output.sim_cycles;
             attributed.absorb(&output.attributed);
@@ -423,8 +408,7 @@ mod tests {
         });
         let (set, _) = plan.execute(3);
         assert_eq!(set.series.last().expect("derived").points[0].y, 180.0);
-        // The derived series lands after all job series, as in the old
-        // eager generators.
+        // The derived series lands after all job series.
         assert_eq!(set.series.last().expect("derived").name, "sum");
     }
 

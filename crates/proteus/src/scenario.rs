@@ -1,5 +1,8 @@
 //! One experimental run: N instances of a workload under a scheduling
-//! configuration.
+//! configuration, spawned together or arriving over time.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use porsche::cis::DispatchMode;
 use porsche::costs::CostModel;
@@ -7,6 +10,7 @@ use porsche::fault::{FaultPlan, RecoveryPolicy};
 use porsche::kernel::{KernelConfig, KernelError};
 use porsche::policy::PolicyKind;
 use porsche::probe::{AttributedLedger, CycleLedger, Event, Tag};
+use porsche::process::Pid;
 use porsche::stats::KernelStats;
 use proteus_apps::workload::{WorkloadConfig, WorkloadSpec};
 use proteus_apps::AppKind;
@@ -18,9 +22,37 @@ use crate::machine::{Machine, MachineConfig};
 /// N concurrent instances of a test application (paper §5.1; "sharing is
 /// not allowed", which holds here automatically because every instance
 /// registers its own circuit instances).
+///
+/// By default every instance is spawned at cycle 0. An arrival schedule
+/// ([`Scenario::arrivals`]) instead injects them over time — the
+/// paper's §6 "more dynamic scheduling loads" — and an app mix
+/// ([`Scenario::mix`]) cycles the instances through several
+/// applications.
+///
+/// # Example
+///
+/// ```
+/// use proteus::scenario::Scenario;
+/// use proteus_apps::AppKind;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Four jobs of all three applications, arriving every ~200k cycles.
+/// let result = Scenario::new(AppKind::Alpha)
+///     .mix(&[AppKind::Alpha, AppKind::Twofish, AppKind::Echo])
+///     .instances(4)
+///     .size(32)
+///     .passes(2)
+///     .quantum(100_000)
+///     .arrivals(200_000, 2003)
+///     .run()?;
+/// assert!(result.all_valid());
+/// assert!(result.mean_turnaround() > 0.0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    app: AppKind,
+    apps: Vec<AppKind>,
     accelerated: bool,
     instances: usize,
     size: usize,
@@ -38,6 +70,8 @@ pub struct Scenario {
     faults: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     watchdog_cycles: Option<u64>,
+    /// `(mean inter-arrival gap, seed)`; `None` spawns everything at 0.
+    arrivals: Option<(u64, u64)>,
 }
 
 impl Scenario {
@@ -45,7 +79,7 @@ impl Scenario {
     /// to describe the experiment.
     pub fn new(app: AppKind) -> Self {
         Self {
-            app,
+            apps: vec![app],
             accelerated: true,
             instances: 1,
             size: default_size(app),
@@ -63,6 +97,7 @@ impl Scenario {
             faults: None,
             recovery: RecoveryPolicy::default(),
             watchdog_cycles: None,
+            arrivals: None,
         }
     }
 
@@ -180,17 +215,42 @@ impl Scenario {
         self
     }
 
-    /// Build the machine, spawn the instances and run to completion.
+    /// Cycle the instances through `apps`: instance `i` runs
+    /// `apps[i % apps.len()]` (`Scenario::new(app)` is a mix of one).
+    ///
+    /// # Panics
+    ///
+    /// If `apps` is empty.
+    pub fn mix(mut self, apps: &[AppKind]) -> Self {
+        assert!(!apps.is_empty(), "an app mix needs at least one application");
+        self.apps = apps.to_vec();
+        self
+    }
+
+    /// Inject the instances one by one with exponentially distributed
+    /// gaps of mean `mean_gap` cycles, drawn from an RNG seeded with
+    /// `seed`. Each job's turnaround (finish − arrival) is then the
+    /// metric of interest (see [`ScenarioResult::turnarounds`]).
+    pub fn arrivals(mut self, mean_gap: u64, seed: u64) -> Self {
+        self.arrivals = Some((mean_gap, seed));
+        self
+    }
+
+    /// Build the machine, spawn the instances (at cycle 0, or on the
+    /// arrival schedule) and run to completion.
     ///
     /// # Errors
     ///
     /// Propagates kernel errors (spawn failure, cycle limit).
     pub fn run(&self) -> Result<ScenarioResult, KernelError> {
-        let mut cfg = WorkloadConfig::new(self.app, self.size, self.passes);
-        if !self.accelerated {
-            cfg = cfg.software();
-        }
-        let spec = WorkloadSpec::build(cfg);
+        let specs: Vec<WorkloadSpec> = self
+            .apps
+            .iter()
+            .map(|&app| {
+                let cfg = WorkloadConfig::new(app, self.size, self.passes);
+                WorkloadSpec::build(if self.accelerated { cfg } else { cfg.software() })
+            })
+            .collect();
         let mut machine = Machine::new(MachineConfig {
             kernel: KernelConfig {
                 quantum: self.quantum,
@@ -211,18 +271,41 @@ impl Scenario {
                 ..RfuConfig::default()
             },
         });
-        for _ in 0..self.instances {
-            machine.spawn(spec.spawn_spec(self.with_software_alt))?;
+        let mut schedule = self.arrivals.map(|(mean, seed)| (mean, StdRng::seed_from_u64(seed)));
+        let mut clock = 0u64;
+        // `(pid, arrival, expected checksum)` per job, in spawn order.
+        let mut jobs: Vec<(Pid, u64, u32)> = Vec::with_capacity(self.instances);
+        for i in 0..self.instances {
+            if let Some((mean, rng)) = &mut schedule {
+                // Exponential gap via inverse transform.
+                let u: f64 = rng.gen_range(1e-9..1.0);
+                clock += (-u.ln() * *mean as f64) as u64;
+                // Always advance, even to an arrival already in the
+                // past: the call also dispatches the first ready
+                // process.
+                if machine.advance_until(clock, self.cycle_limit)? {
+                    // Nothing runnable: the workstation sits idle until
+                    // the job arrives.
+                    machine.idle_until(clock);
+                }
+            }
+            let spec = &specs[i % specs.len()];
+            // The spawn is stamped at the current cycle, which is now at
+            // or past the arrival.
+            let arrival = machine.cycles();
+            let pid = machine.spawn(spec.spawn_spec(self.with_software_alt))?;
+            jobs.push((pid, arrival, spec.expected_checksum()));
         }
         let report = machine.run(self.cycle_limit)?;
-        let expected = spec.expected_checksum();
-        let finishes: Vec<u64> = report.exited.iter().map(|(_, f, _)| *f).collect();
         let valid = report.killed.is_empty()
-            && report.exited.len() == self.instances
-            && report.exited.iter().all(|(_, _, code)| *code == expected);
+            && report.exited.len() == jobs.len()
+            && jobs.iter().all(|&(pid, _, expected)| {
+                report.exited.iter().any(|&(p, _, code)| p == pid && code == expected)
+            });
         Ok(ScenarioResult {
             makespan: report.makespan,
-            finishes,
+            arrivals: jobs.iter().map(|&(pid, arrival, _)| (pid, arrival)).collect(),
+            finishes: report.exited.iter().map(|&(pid, finish, _)| (pid, finish)).collect(),
             stats: report.stats,
             ledger: report.ledger,
             attributed: report.attributed,
@@ -230,7 +313,6 @@ impl Scenario {
             trace_dropped: machine.kernel().trace().dropped(),
             total_cycles: machine.cycles(),
             valid,
-            expected_checksum: expected,
         })
     }
 }
@@ -249,8 +331,11 @@ pub struct ScenarioResult {
     /// Completion time of the last process, in cycles (the paper's
     /// y-axis).
     pub makespan: u64,
-    /// Per-process finish cycles, PID order.
-    pub finishes: Vec<u64>,
+    /// `(pid, arrival cycle)` of every job, in spawn (= PID) order; all
+    /// 0 unless the scenario had an arrival schedule.
+    pub arrivals: Vec<(Pid, u64)>,
+    /// `(pid, finish cycle)` of every job that exited, PID order.
+    pub finishes: Vec<(Pid, u64)>,
     /// Kernel management statistics.
     pub stats: KernelStats,
     /// Where every simulated cycle went (folded from the event stream).
@@ -267,16 +352,39 @@ pub struct ScenarioResult {
     /// Total simulated cycles, including post-makespan idle time; equals
     /// [`CycleLedger::total`] of `ledger`.
     pub total_cycles: u64,
-    /// All processes exited with the reference checksum.
+    /// All processes exited with their reference checksums.
     pub valid: bool,
-    /// The reference checksum.
-    pub expected_checksum: u32,
 }
 
 impl ScenarioResult {
     /// Whether every instance computed the correct result.
     pub fn all_valid(&self) -> bool {
         self.valid
+    }
+
+    /// Per-job `(pid, turnaround)`, turnaround = finish − arrival, in
+    /// arrival order (jobs that never exited are skipped). Without an
+    /// arrival schedule every turnaround is the job's finish cycle.
+    pub fn turnarounds(&self) -> Vec<(Pid, u64)> {
+        self.arrivals
+            .iter()
+            .filter_map(|&(pid, arrival)| {
+                let &(_, finish) = self.finishes.iter().find(|&&(p, _)| p == pid)?;
+                Some((pid, finish.saturating_sub(arrival)))
+            })
+            .collect()
+    }
+
+    /// Mean turnaround over the jobs that exited, in cycles.
+    pub fn mean_turnaround(&self) -> f64 {
+        let turnarounds = self.turnarounds();
+        turnarounds.iter().map(|&(_, t)| t).sum::<u64>() as f64
+            / turnarounds.len().max(1) as f64
+    }
+
+    /// Worst-case turnaround, in cycles.
+    pub fn max_turnaround(&self) -> u64 {
+        self.turnarounds().iter().map(|&(_, t)| t).max().unwrap_or(0)
     }
 }
 
@@ -344,5 +452,87 @@ mod tests {
         assert!(r.all_valid());
         assert!(r.stats.software_installs >= 2, "{:?}", r.stats);
         assert_eq!(r.stats.evictions, 0, "{:?}", r.stats);
+    }
+
+    /// Jobs of all three applications arriving every ~`gap` cycles at
+    /// the 1 ms quantum.
+    fn arriving(jobs: usize, gap: u64, size: usize, passes: u32) -> Scenario {
+        Scenario::new(AppKind::Alpha)
+            .mix(&[AppKind::Alpha, AppKind::Twofish, AppKind::Echo])
+            .instances(jobs)
+            .size(size)
+            .passes(passes)
+            .quantum(100_000)
+            .arrivals(gap, 2003)
+    }
+
+    #[test]
+    fn dynamic_arrivals_complete_and_validate() {
+        let result = arriving(6, 100_000, 32, 4).run().expect("run");
+        assert!(result.all_valid(), "{result:?}");
+        assert_eq!(result.turnarounds().len(), 6);
+        assert!(result.mean_turnaround() > 0.0);
+        assert!(result.max_turnaround() as f64 >= result.mean_turnaround());
+    }
+
+    #[test]
+    fn heavier_offered_load_increases_turnaround() {
+        let sparse = arriving(10, 50_000_000, 64, 8).run().expect("run");
+        let dense = arriving(10, 10_000, 64, 8).run().expect("run");
+        assert!(sparse.all_valid() && dense.all_valid());
+        assert!(
+            dense.mean_turnaround() > sparse.mean_turnaround(),
+            "dense {} <= sparse {}",
+            dense.mean_turnaround(),
+            sparse.mean_turnaround()
+        );
+    }
+
+    #[test]
+    fn turnaround_matches_event_stream_span() {
+        // Per-job turnaround must equal the spawn→exit span visible in
+        // the event timeline — the two are produced by independent code
+        // paths (arrival bookkeeping vs. probe emission).
+        let result = arriving(3, 150_000, 32, 2).trace_capacity(1 << 16).run().expect("run");
+        assert!(result.all_valid(), "{result:?}");
+        let turnarounds = result.turnarounds();
+        assert_eq!(turnarounds.len(), 3);
+        for &(pid, turnaround) in &turnarounds {
+            let spawn = result
+                .trace
+                .iter()
+                .find_map(|&(at, _, e)| match e {
+                    Event::Spawn { pid: p } if p == pid => Some(at),
+                    _ => None,
+                })
+                .expect("spawn event");
+            let exit = result
+                .trace
+                .iter()
+                .find_map(|&(at, _, e)| match e {
+                    Event::Exit { pid: p, .. } if p == pid => Some(at),
+                    _ => None,
+                })
+                .expect("exit event");
+            assert_eq!(turnaround, exit - spawn, "pid {pid:?}");
+        }
+        assert_eq!(result.ledger.total(), result.total_cycles);
+    }
+
+    #[test]
+    fn arrivals_are_deterministic_per_seed() {
+        let run = |seed| arriving(5, 2_000_000, 32, 2).arrivals(2_000_000, seed).run().expect("run");
+        assert_eq!(run(2003), run(2003));
+        assert_ne!(run(2003).arrivals, run(7).arrivals, "the seed drives the gaps");
+    }
+
+    #[test]
+    fn without_a_schedule_turnaround_is_the_finish_cycle() {
+        let r = Scenario::new(AppKind::Echo).instances(3).size(32).passes(2).run().expect("run");
+        assert!(r.all_valid());
+        assert!(r.arrivals.iter().all(|&(_, arrival)| arrival == 0));
+        assert_eq!(r.turnarounds(), r.finishes);
+        assert_eq!(r.turnarounds().len(), 3);
+        assert_eq!(r.max_turnaround(), r.makespan);
     }
 }

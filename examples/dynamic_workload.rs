@@ -5,7 +5,8 @@
 //! Run with `cargo run --release --example dynamic_workload`.
 
 use porsche::cis::DispatchMode;
-use proteus::dynamic::DynamicLoad;
+use proteus::scenario::Scenario;
+use proteus_apps::AppKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("18 mixed jobs (alpha / twofish / echo), 4 PFUs, 1 ms quantum");
@@ -21,17 +22,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (DispatchMode::SoftwareFallback, false),
             (DispatchMode::HardwareOnly, true),
         ] {
-            let result = DynamicLoad {
-                jobs: 18,
-                mean_interarrival: gap,
-                job_size: (512, 30),
-                mode,
-                sharing,
-                ..DynamicLoad::default()
-            }
-            .run()?;
-            assert!(result.valid, "all jobs must compute correct results");
-            row.push_str(&format!(" {:>18.0}", result.mean_turnaround));
+            let result = Scenario::new(AppKind::Alpha)
+                .mix(&[AppKind::Alpha, AppKind::Twofish, AppKind::Echo])
+                .instances(18)
+                .size(512)
+                .passes(30)
+                .quantum(100_000)
+                .mode(mode)
+                .sharing(sharing)
+                .arrivals(gap, 2003)
+                .run()?;
+            assert!(result.all_valid(), "all jobs must compute correct results");
+            row.push_str(&format!(" {:>18.0}", result.mean_turnaround()));
         }
         println!("{row}");
     }

@@ -41,6 +41,19 @@ diff "$serial_dir/breakdown_fault_campaign.csv" "$parallel_dir/breakdown_fault_c
 diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
 echo "fault campaign deterministic and matches the golden matrix"
 
+echo "== dynamic-load smoke (quick scale, --jobs 1 vs --jobs 2, golden diff) =="
+cargo run --release -p proteus-bench --bin repro -- \
+    --quick --jobs 1 --out "$serial_dir" dynamic >/dev/null
+cargo run --release -p proteus-bench --bin repro -- \
+    --quick --jobs 2 --out "$parallel_dir" dynamic >/dev/null
+diff "$serial_dir/dynamic_load.csv" "$parallel_dir/dynamic_load.csv"
+diff "$serial_dir/breakdown_dynamic_load.csv" "$parallel_dir/breakdown_dynamic_load.csv"
+# Arrival gaps are seeded: the quick-scale turnaround curves and their
+# cycle attribution must reproduce the committed goldens bit-for-bit.
+diff scripts/golden/dynamic_load_quick.csv "$serial_dir/dynamic_load.csv"
+diff scripts/golden/breakdown_dynamic_load_quick.csv "$serial_dir/breakdown_dynamic_load.csv"
+echo "dynamic load deterministic and matches the goldens"
+
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
     --quick --jobs 1 --out "$serial_dir" --flame fig3 >/dev/null
