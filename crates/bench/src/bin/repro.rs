@@ -115,19 +115,20 @@ fn warn_on_drops(name: &str, dropped: u64) {
     }
 }
 
-/// `--trace <app>`: dump the demo's event timeline as JSON lines.
-fn dump_trace(app: AppKind, quick: bool, outdir: &Path) -> TraceInfo {
+/// `--trace <app>` / `--chrome-trace <app>`: run the demo, write the
+/// body `render` makes of its trace to `file` in `outdir`, and report
+/// what the dump holds.
+fn dump_demo(
+    app: AppKind,
+    quick: bool,
+    outdir: &Path,
+    file: String,
+    render: fn(&str, &ScenarioResult) -> String,
+) -> TraceInfo {
     let name = app.name();
     let result = run_demo(app, quick);
-    let dropped = result.trace_dropped;
-    let mut out = String::new();
-    for &(at, tag, ref event) in &result.trace {
-        out.push_str(&event.to_json(at, tag));
-        out.push('\n');
-    }
-    let file = format!("trace_{name}.jsonl");
     let path = outdir.join(&file);
-    match std::fs::write(&path, &out) {
+    match std::fs::write(&path, render(name, &result)) {
         Ok(()) => println!(
             "wrote {} ({} events over {} cycles)",
             path.display(),
@@ -136,42 +137,25 @@ fn dump_trace(app: AppKind, quick: bool, outdir: &Path) -> TraceInfo {
         ),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
-    warn_on_drops(name, dropped);
+    warn_on_drops(name, result.trace_dropped);
     TraceInfo {
         scenario: name,
         output: file,
         events: result.trace.len(),
-        dropped,
+        dropped: result.trace_dropped,
         total_cycles: result.total_cycles,
     }
 }
 
-/// `--chrome-trace <app>`: render the demo's trace ring plus per-PFU
-/// residency timelines as Chrome trace-event JSON.
-fn dump_chrome_trace(app: AppKind, quick: bool, outdir: &Path) -> TraceInfo {
-    let name = app.name();
-    let result = run_demo(app, quick);
-    let dropped = result.trace_dropped;
-    let json = chrome_trace_json(name, &result.trace, dropped, result.total_cycles);
-    let file = format!("chrome_trace_{name}.json");
-    let path = outdir.join(&file);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} ({} events over {} cycles)",
-            path.display(),
-            result.trace.len(),
-            result.total_cycles,
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    warn_on_drops(name, dropped);
-    TraceInfo {
-        scenario: name,
-        output: file,
-        events: result.trace.len(),
-        dropped,
-        total_cycles: result.total_cycles,
-    }
+/// The demo's event timeline as JSON lines.
+fn trace_jsonl(_name: &str, result: &ScenarioResult) -> String {
+    result.trace.iter().map(|&(at, tag, ref event)| event.to_json(at, tag) + "\n").collect()
+}
+
+/// The demo's trace ring plus per-PFU residency timelines as Chrome
+/// trace-event JSON.
+fn chrome_trace(name: &str, result: &ScenarioResult) -> String {
+    chrome_trace_json(name, &result.trace, result.trace_dropped, result.total_cycles)
 }
 
 /// `--flame <target>`: write a folded-stack profile. Experiment targets
@@ -573,10 +557,12 @@ fn main() {
     let t0 = Instant::now();
     let mut trace_infos: Vec<TraceInfo> = Vec::new();
     for app in &traces {
-        trace_infos.push(dump_trace(*app, quick, outdir));
+        let file = format!("trace_{}.jsonl", app.name());
+        trace_infos.push(dump_demo(*app, quick, outdir, file, trace_jsonl));
     }
     for app in &chrome_traces {
-        trace_infos.push(dump_chrome_trace(*app, quick, outdir));
+        let file = format!("chrome_trace_{}.json", app.name());
+        trace_infos.push(dump_demo(*app, quick, outdir, file, chrome_trace));
     }
     for target in &flames {
         dump_flame(*target, &scale, quick, jobs, outdir);

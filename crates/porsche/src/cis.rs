@@ -11,13 +11,13 @@
 
 use std::collections::BTreeMap;
 
-use proteus_rfu::{FaultInfo, PfuIndex, Rfu, TupleKey};
+use proteus_rfu::{Cam, FaultInfo, PfuIndex, Rfu, TupleKey};
 
 use crate::costs::CostModel;
 use crate::fault::{FaultUnit, RecoveryPolicy};
 use crate::policy::{PolicyView, ReplacementPolicy};
 use crate::probe::{Callsite, Event, PfuFaultKind, Probe, Tag};
-use crate::process::{Pid, Process};
+use crate::process::{Pid, Process, Registered};
 
 /// How the CIS resolves contention (the paper's two experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,24 +33,29 @@ pub enum DispatchMode {
     SoftwareFallback,
 }
 
-/// Outcome of the custom-instruction fault handler.
+/// Outcome of the custom-instruction fault handler. The verdict carries
+/// no cost: the handler's work is whatever its costed events booked on
+/// the probe's ledger, and that is what the kernel charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultResolution {
     /// Mapping repaired or circuit loaded; reissue the faulting
-    /// instruction. `cycles` is the management cost to charge.
-    Reissue {
-        /// Kernel cycles consumed resolving the fault.
-        cycles: u64,
-    },
+    /// instruction.
+    Reissue,
     /// The mapping request was illegal (unregistered CID), the circuit
     /// ran away, or every recovery rung was exhausted — terminate the
-    /// process (§4.2). `cycles` is the handler work spent reaching the
-    /// verdict (entry, diagnosis, failed retries); the kernel must
-    /// charge it so every cost the handler emitted stays conserved.
-    Kill {
-        /// Kernel cycles consumed before deciding to kill.
-        cycles: u64,
-    },
+    /// process (§4.2). The work spent reaching the verdict (entry,
+    /// diagnosis, failed retries) is charged like any other.
+    Kill,
+}
+
+/// `key`'s registration record, if the process and CID both exist.
+fn registration(procs: &BTreeMap<Pid, Process>, key: TupleKey) -> Option<&Registered> {
+    procs.get(&key.pid)?.circuits.get(&key.cid)
+}
+
+/// Mutable [`registration`].
+fn registration_mut(procs: &mut BTreeMap<Pid, Process>, key: TupleKey) -> Option<&mut Registered> {
+    procs.get_mut(&key.pid)?.circuits.get_mut(&key.cid)
 }
 
 /// CIS bookkeeping: who owns each PFU, load/use recency, TLB cursor.
@@ -115,15 +120,27 @@ impl Cis {
         counts
     }
 
-    /// Program a TLB entry, evicting (round-robin over slots) if full.
-    /// Emits the [`Event::TlbProgram`] — attributed to `tag`'s callsite,
-    /// since TLB programming happens on behalf of whichever path asked
-    /// for it — and returns its cycle cost so the caller's charge and
-    /// the event stay structurally paired.
+    /// Choose the slot for a new TLB entry: a free one, else the next
+    /// one under the round-robin hand. The flag reports whether a live
+    /// entry gets displaced.
+    fn tlb_slot(&mut self, cam: &Cam) -> (usize, bool) {
+        match cam.free_slot() {
+            Some(s) => (s, false),
+            None => {
+                let s = self.tlb_hand % cam.capacity();
+                self.tlb_hand = (s + 1) % cam.capacity();
+                (s, true)
+            }
+        }
+    }
+
+    /// Program an entry in TLB2 (`soft`) or the hardware TLB and emit
+    /// the [`Event::TlbProgram`] — attributed to `tag`'s callsite, since
+    /// TLB programming happens on behalf of whichever path asked for it.
     #[allow(clippy::too_many_arguments)]
     fn tlb_insert(
-        cam_hand: &mut usize,
-        cam: &mut proteus_rfu::Cam,
+        &mut self,
+        rfu: &mut Rfu,
         key: TupleKey,
         value: u32,
         soft: bool,
@@ -131,40 +148,23 @@ impl Cis {
         probe: &mut Probe,
         at: u64,
         tag: Tag,
-    ) -> u64 {
-        let (slot, evicted) = match cam.free_slot() {
-            Some(s) => (s, false),
-            None => {
-                let s = *cam_hand % cam.capacity();
-                *cam_hand = (s + 1) % cam.capacity();
-                (s, true)
-            }
-        };
+    ) {
+        let cam = if soft { rfu.tlb_sw_mut() } else { rfu.tlb_hw_mut() };
+        let (slot, evicted) = self.tlb_slot(cam);
         cam.insert(slot, key, value);
-        let cost = costs.tlb_program;
-        probe.emit(at, tag, Event::TlbProgram { key, soft, evicted, cost });
-        cost
+        probe.emit(at, tag, Event::TlbProgram { key, soft, evicted, cost: costs.tlb_program });
     }
 
-    /// Unload the circuit in `pfu`, saving its state frames (and, under
-    /// the A4 ablation, the full configuration) back to the owner's
-    /// registration record. Returns the cycle cost. `tag` attributes the
-    /// work to whoever forced the unload (the placement requester or the
-    /// recovery ladder), not the evicted owner.
-    #[allow(clippy::too_many_arguments)]
-    fn unload(
+    /// Take the circuit out of `pfu` and return it, with its state, to
+    /// its owner's registration record; the slot's hardware TLB entries
+    /// go with it. Returns the owner, or `None` if the slot held nothing.
+    fn detach(
         &mut self,
         pfu: PfuIndex,
         rfu: &mut Rfu,
         procs: &mut BTreeMap<Pid, Process>,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-        tag: Tag,
-    ) -> u64 {
-        let Some(owner) = self.pfu_owner[pfu].take() else {
-            return 0;
-        };
+    ) -> Option<TupleKey> {
+        let owner = self.pfu_owner[pfu].take()?;
         self.pfu_image[pfu] = None;
         let dropped = rfu.tlb_hw_mut().invalidate_value(pfu as u32);
         debug_assert!(dropped <= rfu.tlb_hw().capacity());
@@ -175,35 +175,75 @@ impl Cis {
         // 1 restarts it instead, which is always sound: circuit state
         // only mutates on completion (DESIGN.md §9).
         let faulty = rfu.pfus().health(pfu).is_faulty();
-        let Some((circuit, status)) = rfu.pfus_mut().unload(pfu) else {
-            return 0;
-        };
-        let status = status || faulty;
-        probe.emit(at, tag, Event::Eviction { key: owner, pfu });
-        let mut cycles = 0u64;
-        if let Some(reg) = procs.get_mut(&owner.pid).and_then(|p| p.circuits.get_mut(&owner.cid)) {
-            cycles = costs.unload_cycles(reg.static_bytes, reg.state_words);
-            let words = reg.state_words as u64
-                + if costs.save_full_config_on_unload {
-                    (reg.static_bytes as u64).div_ceil(4)
-                } else {
-                    0
-                };
-            probe.emit(at, tag, Event::BusTransfer { words, cost: cycles });
+        let (circuit, status) = rfu.pfus_mut().unload(pfu)?;
+        if let Some(reg) = registration_mut(procs, owner) {
             reg.instance = Some(circuit);
-            reg.status = status;
+            reg.status = status || faulty;
             reg.loaded_at = None;
         }
-        cycles
+        Some(owner)
+    }
+
+    /// Evict the circuit in `pfu`, writing its state frames (and, under
+    /// the A4 ablation, the full configuration) back over the bus. `tag`
+    /// attributes the work to whoever forced the unload (the placement
+    /// requester or the recovery ladder), not the evicted owner.
+    #[allow(clippy::too_many_arguments)]
+    fn unload(
+        &mut self,
+        pfu: PfuIndex,
+        rfu: &mut Rfu,
+        procs: &mut BTreeMap<Pid, Process>,
+        costs: &CostModel,
+        probe: &mut Probe,
+        at: u64,
+        tag: Tag,
+    ) {
+        let Some(owner) = self.detach(pfu, rfu, procs) else { return };
+        probe.emit(at, tag, Event::Eviction { key: owner, pfu });
+        if let Some(reg) = registration(procs, owner) {
+            let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
+            let words = costs.unload_words(static_bytes, state_words);
+            let cost = costs.unload_cycles(static_bytes, state_words);
+            probe.emit(at, tag, Event::BusTransfer { words, cost });
+        }
+    }
+
+    /// Move `key`'s home instance into the empty slot `pfu`, restoring
+    /// its saved status bit, and record the new owner. `false` only on a
+    /// registry bug (the registration or its instance vanished).
+    fn install(
+        &mut self,
+        key: TupleKey,
+        pfu: PfuIndex,
+        rfu: &mut Rfu,
+        procs: &mut BTreeMap<Pid, Process>,
+    ) -> bool {
+        let Some(reg) = registration_mut(procs, key) else {
+            debug_assert!(false, "registration vanished mid-handler");
+            return false;
+        };
+        let Some(circuit) = reg.instance.take() else {
+            debug_assert!(false, "unloaded tuple without a home instance");
+            return false;
+        };
+        let evicted = rfu.pfus_mut().load(pfu, circuit);
+        debug_assert!(evicted.is_none(), "target PFU was freed");
+        rfu.pfus_mut().set_status(pfu, reg.status);
+        reg.loaded_at = Some(pfu);
+        self.seq += 1;
+        self.last_use_seq[pfu] = self.seq;
+        self.pfu_owner[pfu] = Some(key);
+        self.pfu_image[pfu] = reg.image;
+        true
     }
 
     /// The custom-instruction fault handler (Figure 1's "Fault" leg).
     ///
-    /// Every action emits its [`Event`] on `probe` at cycle `at` (the
-    /// simulated clock does not advance while the handler runs; the
-    /// kernel charges the returned `cycles` afterwards). The event
-    /// costs along any path sum exactly to the returned charge — the
-    /// conservation law the ledger is built on.
+    /// Every action emits its [`Event`] on `probe` at cycle `at`; the
+    /// simulated clock does not advance while the handler runs. The
+    /// costed events are the only record of the handler's work: the
+    /// kernel charges exactly what they add to the probe's ledger.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_fault(
         &mut self,
@@ -217,42 +257,34 @@ impl Cis {
         probe: &mut Probe,
         at: u64,
     ) -> FaultResolution {
-        let mut cycles = costs.fault_entry;
         let miss = Tag::new(key.pid, Callsite::TlbMiss);
-        probe.emit(at, miss, Event::Fault { key, cost: cycles });
+        probe.emit(at, miss, Event::Fault { key, cost: costs.fault_entry });
 
         match rfu.take_fault() {
             // Runaway circuits are fatal (the OS's timeliness
             // guarantee, §2).
-            Some(FaultInfo::Runaway { .. }) => return FaultResolution::Kill { cycles },
+            Some(FaultInfo::Runaway { .. }) => return FaultResolution::Kill,
             // The per-PFU watchdog tripped: enter the recovery ladder
             // (DESIGN.md §9) instead of the placement path.
             Some(FaultInfo::Watchdog { pfu, burned, .. }) => {
                 return self.recover_pfu_fault(
                     key, pfu, burned, rfu, procs, policy, recovery, faults, costs, probe, at,
-                    cycles,
                 );
             }
             _ => {}
         }
 
-        let Some(proc) = procs.get_mut(&key.pid) else {
-            return FaultResolution::Kill { cycles };
-        };
-        let Some(reg) = proc.circuits.get_mut(&key.cid) else {
-            // "terminate the process if the mapping request was illegal".
-            return FaultResolution::Kill { cycles };
+        // "terminate the process if the mapping request was illegal".
+        let Some(reg) = registration(procs, key) else {
+            return FaultResolution::Kill;
         };
 
         // §4.2: check for a plain mapping fault first — the circuit is
         // resident but its TLB entry was pushed out.
         if let Some(pfu) = reg.loaded_at {
             probe.emit(at, miss, Event::MappingRepair { key });
-            cycles += Self::tlb_insert(
-                &mut self.tlb_hand, rfu.tlb_hw_mut(), key, pfu as u32, false, costs, probe, at,
-                miss,
-            );
-            return FaultResolution::Reissue { cycles };
+            self.tlb_insert(rfu, key, pfu as u32, false, costs, probe, at, miss);
+            return FaultResolution::Reissue;
         }
 
         // A tuple already dispatched to software stays on the software
@@ -264,92 +296,47 @@ impl Cis {
             // alternative; a missing one is an illegal mapping request.
             debug_assert!(reg.software_alt.is_some(), "soft_active without an alternative");
             let Some(addr) = reg.software_alt else {
-                return FaultResolution::Kill { cycles };
+                return FaultResolution::Kill;
             };
             probe.emit(at, miss, Event::MappingRepair { key });
-            cycles += Self::tlb_insert(
-                &mut self.tlb_hand, rfu.tlb_sw_mut(), key, addr, true, costs, probe, at, miss,
-            );
-            return FaultResolution::Reissue { cycles };
+            self.tlb_insert(rfu, key, addr, true, costs, probe, at, miss);
+            return FaultResolution::Reissue;
         }
-
-        let state_words = reg.state_words;
-        let image = reg.image;
 
         // Sharing fast path (§4.2): another process's instance of the
         // same configuration image is resident — hand the PFU over by
         // swapping state frames only, no reconfiguration. (Allocatable
         // = free and not quarantined; identical to the free list when
         // no fault plan is active.)
+        let (state_words, image) = (reg.state_words, reg.image);
         if self.share_circuits && rfu.pfus().available_pfus().is_empty() {
-            if let Some(pfu) = image.and_then(|img| {
-                (0..self.pfu_image.len()).find(|&p| self.pfu_image[p] == Some(img))
-            }) {
+            if let Some(pfu) =
+                image.and_then(|img| self.pfu_image.iter().position(|&i| i == Some(img)))
+            {
                 // Return the resident instance (with its state) to its
-                // owner's registry...
-                let prev_owner = self.pfu_owner[pfu].take();
-                rfu.tlb_hw_mut().invalidate_value(pfu as u32);
-                // Same status-bit trust rule as `unload`: a faulty
-                // slot's low bit is a burn artefact, not real progress.
-                let faulty = rfu.pfus().health(pfu).is_faulty();
-                if let Some((circuit, status)) = rfu.pfus_mut().unload(pfu) {
-                    if let Some(prev) = prev_owner {
-                        if let Some(prev_reg) =
-                            procs.get_mut(&prev.pid).and_then(|p| p.circuits.get_mut(&prev.cid))
-                        {
-                            prev_reg.instance = Some(circuit);
-                            prev_reg.status = status || faulty;
-                            prev_reg.loaded_at = None;
-                        }
-                    }
+                // owner's registry and install the faulting process's:
+                // the static configuration is identical, so only the
+                // state frames move over the bus.
+                self.detach(pfu, rfu, procs);
+                if !self.install(key, pfu, rfu, procs) {
+                    return FaultResolution::Kill;
                 }
-                // ...and install the faulting process's instance: the
-                // static configuration is identical, so only the state
-                // frames move over the bus. Both lookups succeeded at
-                // handler entry; a miss here would be a registry bug.
-                let Some(reg) =
-                    procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                else {
-                    debug_assert!(false, "registration vanished mid-handler");
-                    return FaultResolution::Kill { cycles };
-                };
-                let Some(circuit) = reg.instance.take() else {
-                    debug_assert!(false, "unloaded tuple without a home instance");
-                    return FaultResolution::Kill { cycles };
-                };
-                rfu.pfus_mut().load(pfu, circuit);
-                rfu.pfus_mut().set_status(pfu, reg.status);
-                reg.loaded_at = Some(pfu);
-                self.seq += 1;
-                self.last_use_seq[pfu] = self.seq;
-                self.pfu_owner[pfu] = Some(key);
-                self.pfu_image[pfu] = image;
                 let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
                 probe.emit(at, reconf, Event::StateSwap { key, pfu });
-                let swap_cost = costs.state_swap_cycles(state_words);
-                probe.emit(
-                    at,
-                    reconf,
-                    Event::BusTransfer { words: 2 * state_words as u64, cost: swap_cost },
-                );
-                cycles += swap_cost;
-                cycles += Self::tlb_insert(
-                    &mut self.tlb_hand, rfu.tlb_hw_mut(), key, pfu as u32, false, costs, probe, at,
-                    reconf,
-                );
-                return FaultResolution::Reissue { cycles };
+                let cost = costs.state_swap_cycles(state_words);
+                probe.emit(at, reconf, Event::BusTransfer { words: 2 * state_words as u64, cost });
+                self.tlb_insert(rfu, key, pfu as u32, false, costs, probe, at, reconf);
+                return FaultResolution::Reissue;
             }
         }
 
-        self.place_and_load(key, rfu, procs, policy, recovery, faults, costs, probe, at, cycles)
+        self.place_and_load(key, rfu, procs, policy, recovery, faults, costs, probe, at)
     }
 
     /// Find a home for `key`'s circuit — an allocatable PFU, the
     /// software alternative, or a victim's slot — and drive the full
     /// configuration across the bus, verifying the transfer when the
-    /// fault plan models transit corruption. `cycles` carries the
-    /// caller's charge so far; the returned resolution folds in every
-    /// cost emitted here.
+    /// fault plan models transit corruption.
     #[allow(clippy::too_many_arguments)]
     fn place_and_load(
         &mut self,
@@ -362,16 +349,13 @@ impl Cis {
         costs: &CostModel,
         probe: &mut Probe,
         at: u64,
-        mut cycles: u64,
     ) -> FaultResolution {
-        let Some(reg) = procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid)) else {
+        let Some(reg) = registration(procs, key) else {
             debug_assert!(false, "placement for an unregistered tuple");
-            return FaultResolution::Kill { cycles };
+            return FaultResolution::Kill;
         };
-        let software_alt = reg.software_alt;
-        let static_bytes = reg.static_bytes;
-        let state_words = reg.state_words;
-        let image = reg.image;
+        let (software_alt, static_bytes, state_words) =
+            (reg.software_alt, reg.static_bytes, reg.state_words);
         let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
 
         // Find a home: an allocatable PFU, the software alternative, or
@@ -386,20 +370,15 @@ impl Cis {
                     if let Some(addr) = software_alt {
                         let sw = Tag::new(key.pid, Callsite::SwDispatch);
                         probe.emit(at, sw, Event::SoftwareInstall { key });
-                        cycles += Self::tlb_insert(
-                            &mut self.tlb_hand, rfu.tlb_sw_mut(), key, addr, true, costs, probe,
-                            at, sw,
-                        );
-                        if let Some(reg) =
-                            procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                        {
+                        self.tlb_insert(rfu, key, addr, true, costs, probe, at, sw);
+                        if let Some(reg) = registration_mut(procs, key) {
                             reg.soft_active = true;
                         }
-                        return FaultResolution::Reissue { cycles };
+                        return FaultResolution::Reissue;
                     }
                 }
                 if no_victims {
-                    return FaultResolution::Kill { cycles };
+                    return FaultResolution::Kill;
                 }
                 let counts = self.refresh_usage(rfu);
                 let victim = policy.select_victim(&PolicyView {
@@ -410,110 +389,87 @@ impl Cis {
                     current_pid: key.pid,
                 });
                 assert!(victim < self.pfu_owner.len(), "policy returned bad PFU {victim}");
-                cycles += self.unload(victim, rfu, procs, costs, probe, at, reconf);
+                self.unload(victim, rfu, procs, costs, probe, at, reconf);
                 victim
             }
         };
 
         // Full configuration load: static frames + state frames (§4.1).
-        let Some(reg) = procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid)) else {
-            debug_assert!(false, "registration vanished mid-handler");
-            return FaultResolution::Kill { cycles };
-        };
-        let Some(circuit) = reg.instance.take() else {
-            debug_assert!(false, "unloaded tuple without a home instance");
-            return FaultResolution::Kill { cycles };
-        };
-        let evicted = rfu.pfus_mut().load(target, circuit);
-        debug_assert!(evicted.is_none(), "target PFU was freed");
-        rfu.pfus_mut().set_status(target, reg.status);
-        reg.loaded_at = Some(target);
+        if !self.install(key, target, rfu, procs) {
+            return FaultResolution::Kill;
+        }
+        self.load_seq[target] = self.seq;
         probe.emit(at, reconf, Event::ConfigLoad { key, pfu: target });
-        let full_words = (static_bytes as u64).div_ceil(4) + state_words as u64;
-        let load_cost = costs.full_load_cycles(static_bytes, state_words);
-        probe.emit(at, reconf, Event::BusTransfer { words: full_words, cost: load_cost });
-        cycles += load_cost;
+        let words = CostModel::full_words(static_bytes, state_words);
+        let cost = costs.full_load_cycles(static_bytes, state_words);
+        probe.emit(at, reconf, Event::BusTransfer { words, cost });
 
         // Transit verification (DESIGN.md §9): when transfers can
         // corrupt, every load is CRC-checked on arrival and re-driven
         // (bounded) until it verifies. A transfer still corrupt after
         // the retry budget stays in place flagged corrupt — the
         // watchdog path repairs it on first use.
-        if let Some(fu) = faults {
-            if fu.transit_active() {
-                let rungs = Tag::new(key.pid, Callsite::FaultRungs);
-                let mut corrupt = fu.transit_corrupts();
+        if let Some(fu) = faults.filter(|fu| fu.transit_active()) {
+            let rungs = Tag::new(key.pid, Callsite::FaultRungs);
+            let mut corrupt = fu.transit_corrupts();
+            let check = |corrupt| Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check };
+            probe.emit(at, rungs, check(corrupt));
+            let mut attempt = 0u32;
+            while corrupt && attempt < recovery.max_retries {
+                attempt += 1;
+                let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
                 probe.emit(
                     at,
                     rungs,
-                    Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check },
+                    Event::RecoveryRetry { key, pfu: target, attempt, words, cost },
                 );
-                cycles += costs.crc_check;
-                let mut attempt = 0u32;
-                while corrupt && attempt < recovery.max_retries {
-                    attempt += 1;
-                    let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-                    probe.emit(
-                        at,
-                        rungs,
-                        Event::RecoveryRetry { key, pfu: target, attempt, words: full_words, cost },
-                    );
-                    cycles += cost;
-                    corrupt = fu.transit_corrupts();
-                    probe.emit(
-                        at,
-                        rungs,
-                        Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check },
-                    );
-                    cycles += costs.crc_check;
-                }
-                if corrupt {
-                    rfu.pfus_mut().health_mut(target).config_corrupt = true;
-                }
+                corrupt = fu.transit_corrupts();
+                probe.emit(at, rungs, check(corrupt));
+            }
+            if corrupt {
+                rfu.pfus_mut().health_mut(target).config_corrupt = true;
             }
         }
 
-        self.seq += 1;
-        self.load_seq[target] = self.seq;
-        self.last_use_seq[target] = self.seq;
-        self.pfu_owner[target] = Some(key);
-        self.pfu_image[target] = image;
-        cycles += Self::tlb_insert(
-            &mut self.tlb_hand, rfu.tlb_hw_mut(), key, target as u32, false, costs, probe, at,
-            reconf,
-        );
-        FaultResolution::Reissue { cycles }
+        self.tlb_insert(rfu, key, target as u32, false, costs, probe, at, reconf);
+        FaultResolution::Reissue
     }
 
     /// Re-drive `key`'s full configuration into the slot it already
-    /// occupies (a recovery reconfiguration): fresh static frames clear
-    /// any corruption, and the status-register reset restarts the
-    /// interrupted instruction cleanly — a faulty slot never clocked
-    /// it, so no progress is lost. Returns the cycle cost, or `None`
-    /// if the slot was unexpectedly empty.
+    /// occupies — the fault handler's repair and retry rungs and the
+    /// kernel's scrub repairs all reconfigure this way. Fresh static
+    /// frames clear any corruption, and the status-register reset
+    /// restarts the interrupted instruction cleanly: a faulty slot never
+    /// clocked it, so no progress is lost. Each re-drive spends one of
+    /// the slot's reconfiguration allowance (`retries`) and emits one
+    /// [`Event::RecoveryRetry`] at `at`, attributed to `callsite`.
+    /// Returns `false` if the registration or the slot was unexpectedly
+    /// empty.
     #[allow(clippy::too_many_arguments)]
-    fn reload_in_place(
+    pub(crate) fn redrive(
         key: TupleKey,
         pfu: PfuIndex,
-        static_bytes: usize,
-        state_words: usize,
+        procs: &BTreeMap<Pid, Process>,
         rfu: &mut Rfu,
         costs: &CostModel,
         probe: &mut Probe,
         at: u64,
-    ) -> Option<u64> {
+        callsite: Callsite,
+    ) -> bool {
+        let Some(reg) = registration(procs, key) else { return false };
         let attempt = rfu.pfus().health(pfu).retries + 1;
         rfu.pfus_mut().health_mut(pfu).retries = attempt;
-        let (circuit, _) = rfu.pfus_mut().unload(pfu)?;
+        let Some((circuit, _)) = rfu.pfus_mut().unload(pfu) else { return false };
         rfu.pfus_mut().load(pfu, circuit);
+        let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
+        let words = CostModel::full_words(static_bytes, state_words);
         let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-        let words = (static_bytes as u64).div_ceil(4) + state_words as u64;
         probe.emit(
             at,
-            Tag::new(key.pid, Callsite::FaultRungs),
+            Tag::new(key.pid, callsite),
             Event::RecoveryRetry { key, pfu, attempt, words, cost },
         );
-        Some(cost)
+        true
     }
 
     /// The DESIGN.md §9 recovery ladder for a tripped PFU watchdog.
@@ -538,7 +494,6 @@ impl Cis {
         costs: &CostModel,
         probe: &mut Probe,
         at: u64,
-        mut cycles: u64,
     ) -> FaultResolution {
         // Diagnose: read the slot's frames back. The burned clocks are
         // real time the faulting issue consumed that never came back
@@ -550,16 +505,13 @@ impl Cis {
             PfuFaultKind::Watchdog
         };
         let rungs = Tag::new(key.pid, Callsite::FaultRungs);
-        let detect = burned + costs.crc_check;
-        probe.emit(at, rungs, Event::PfuFault { key, pfu, kind, cost: detect });
-        cycles += detect;
+        let cost = burned + costs.crc_check;
+        probe.emit(at, rungs, Event::PfuFault { key, pfu, kind, cost });
 
-        let Some(reg) = procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid)) else {
-            return FaultResolution::Kill { cycles };
+        let Some(reg) = registration(procs, key) else {
+            return FaultResolution::Kill;
         };
         debug_assert_eq!(reg.loaded_at, Some(pfu), "watchdog names the hosting slot");
-        let static_bytes = reg.static_bytes;
-        let state_words = reg.state_words;
         let software_alt = reg.software_alt;
 
         // Rung 0 — SEU repair: corrupt frames explain the hang, and the
@@ -569,88 +521,65 @@ impl Cis {
         // genuinely hung slot re-corrupts before every watchdog trip,
         // and an unconditional repair would loop here forever without
         // ever recording a strike.
-        if kind == PfuFaultKind::CrcMismatch
-            && rfu.pfus().health(pfu).retries <= recovery.max_retries
-        {
-            let Some(cost) =
-                Self::reload_in_place(key, pfu, static_bytes, state_words, rfu, costs, probe, at)
-            else {
-                debug_assert!(false, "watchdog tripped on an empty slot");
-                return FaultResolution::Kill { cycles };
-            };
-            return FaultResolution::Reissue { cycles: cycles + cost };
-        }
+        let repair = kind == PfuFaultKind::CrcMismatch
+            && rfu.pfus().health(pfu).retries <= recovery.max_retries;
+        if !repair {
+            // A hard fault: the frames verify but the slot never
+            // completes (stuck `done`, hung circuit) — or repair-in-place
+            // keeps failing to clear the hang. Strike one against the
+            // slot.
+            let health = rfu.pfus_mut().health_mut(pfu);
+            health.fault_count += 1;
 
-        // A hard fault: the frames verify but the slot never completes
-        // (stuck `done`, hung circuit) — or repair-in-place keeps
-        // failing to clear the hang. Strike one against the slot.
-        rfu.pfus_mut().health_mut(pfu).fault_count += 1;
-        let health = rfu.pfus().health(pfu);
-
-        // Top rung — quarantine: a persistent offender stops being
-        // allocatable, and the circuit relocates through the normal
-        // placement path (relocation loads are ordinary config-bus
-        // work, charged by the ordinary events).
-        if recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
-            rfu.pfus_mut().health_mut(pfu).quarantined = true;
-            cycles += self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-            probe.emit(at, rungs, Event::Quarantine { pfu });
-            // The stuck slot never clocked the instruction; restart it
-            // from scratch on the new home.
-            if let Some(reg) = procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid)) {
-                reg.status = true;
+            // Top rung — quarantine: a persistent offender stops being
+            // allocatable, and the circuit relocates through the normal
+            // placement path (relocation loads are ordinary config-bus
+            // work, charged by the ordinary events).
+            if recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
+                health.quarantined = true;
+                self.unload(pfu, rfu, procs, costs, probe, at, rungs);
+                probe.emit(at, rungs, Event::Quarantine { pfu });
+                // The stuck slot never clocked the instruction; restart
+                // it from scratch on the new home.
+                if let Some(reg) = registration_mut(procs, key) {
+                    reg.status = true;
+                }
+                return self.place_and_load(
+                    key, rfu, procs, policy, recovery, faults, costs, probe, at,
+                );
             }
-            return self.place_and_load(
-                key, rfu, procs, policy, recovery, faults, costs, probe, at, cycles,
-            );
         }
 
-        // First rung — bounded blind retries: reconfigure the same slot
-        // in case the hang was transient.
-        if health.retries < recovery.max_retries {
-            let Some(cost) =
-                Self::reload_in_place(key, pfu, static_bytes, state_words, rfu, costs, probe, at)
-            else {
-                debug_assert!(false, "watchdog tripped on an empty slot");
-                return FaultResolution::Kill { cycles };
-            };
-            return FaultResolution::Reissue { cycles: cycles + cost };
+        // Rung 0's repair, or the first rung — bounded blind retries:
+        // reconfigure the same slot in case the hang was transient.
+        if repair || rfu.pfus().health(pfu).retries < recovery.max_retries {
+            let redriven =
+                Self::redrive(key, pfu, procs, rfu, costs, probe, at, Callsite::FaultRungs);
+            debug_assert!(redriven, "watchdog tripped on an empty slot");
+            return if redriven { FaultResolution::Reissue } else { FaultResolution::Kill };
         }
 
         // Second rung — software failover: abandon the slot and reroute
         // the tuple through TLB2 (§2's graceful degradation).
-        if recovery.software_failover {
-            if let Some(addr) = software_alt {
-                cycles += self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-                if let Some(reg) =
-                    procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                {
-                    reg.soft_active = true;
-                    reg.status = true;
-                }
-                let cam = rfu.tlb_sw_mut();
-                let slot = match cam.free_slot() {
-                    Some(s) => s,
-                    None => {
-                        let s = self.tlb_hand % cam.capacity();
-                        self.tlb_hand = (s + 1) % cam.capacity();
-                        s
-                    }
-                };
-                cam.insert(slot, key, addr);
-                // The TLB2 programming is charged through the failover
-                // event so the work lands in the fault-recovery ledger
-                // category rather than routine TLB maintenance.
-                let cost = costs.tlb_program;
-                probe.emit(at, rungs, Event::SoftwareFailover { key, pfu, cost });
-                cycles += cost;
-                return FaultResolution::Reissue { cycles };
+        if let Some(addr) = software_alt.filter(|_| recovery.software_failover) {
+            self.unload(pfu, rfu, procs, costs, probe, at, rungs);
+            if let Some(reg) = registration_mut(procs, key) {
+                reg.soft_active = true;
+                reg.status = true;
             }
+            let cam = rfu.tlb_sw_mut();
+            let (slot, _) = self.tlb_slot(cam);
+            cam.insert(slot, key, addr);
+            // The TLB2 programming is charged through the failover
+            // event so the work lands in the fault-recovery ledger
+            // category rather than routine TLB maintenance.
+            probe.emit(at, rungs, Event::SoftwareFailover { key, pfu, cost: costs.tlb_program });
+            return FaultResolution::Reissue;
         }
 
         // Every rung exhausted or disabled (§4.2: "terminate the
         // process").
-        FaultResolution::Kill { cycles }
+        FaultResolution::Kill
     }
 
     /// Process teardown: free its PFUs and purge its TLB entries.
@@ -672,11 +601,16 @@ mod tests {
     use super::*;
     use crate::policy::PolicyKind;
     use crate::process::{ProcState, Registered};
+    use proteus_cpu::coproc::CoprocResult;
     use proteus_cpu::cpu::Context;
+    use proteus_cpu::Coprocessor;
     use proteus_cpu::Memory;
     use proteus_rfu::behavioral::FixedLatency;
-    use proteus_cpu::Coprocessor;
     use proteus_rfu::RfuConfig;
+
+    /// Watchdog allowance of [`watchdog_rfu`] slots: the clocks a hung
+    /// issue burns before it traps.
+    const WATCHDOG: u64 = 100;
 
     fn proc_with_circuit(pid: Pid, cid: u8, sw: Option<u32>) -> Process {
         proc_with_image(pid, cid, sw, None)
@@ -702,290 +636,421 @@ mod tests {
         }
     }
 
-    fn setup(n_procs: u32, pfus: usize, mode: DispatchMode, sw: Option<u32>) -> (Cis, Rfu, BTreeMap<Pid, Process>, Box<dyn ReplacementPolicy>, CostModel, Probe) {
-        let cis = Cis::new(pfus, mode);
-        let rfu = Rfu::new(RfuConfig { pfus, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        for pid in 1..=n_procs {
-            procs.insert(pid, proc_with_circuit(pid, 0, sw));
+    /// A CIS with everything its fault handler touches.
+    struct Rig {
+        cis: Cis,
+        rfu: Rfu,
+        procs: BTreeMap<Pid, Process>,
+        pol: Box<dyn ReplacementPolicy>,
+        recovery: RecoveryPolicy,
+        costs: CostModel,
+        probe: Probe,
+    }
+
+    impl Rig {
+        fn new(cis: Cis, pfus: usize, procs: impl IntoIterator<Item = Process>) -> Self {
+            Self {
+                cis,
+                rfu: Rfu::new(RfuConfig { pfus, ..RfuConfig::default() }),
+                procs: procs.into_iter().map(|p| (p.pid, p)).collect(),
+                pol: PolicyKind::RoundRobin.build(),
+                recovery: RecoveryPolicy::default(),
+                costs: CostModel::default(),
+                probe: Probe::new(256),
+            }
         }
-        (cis, rfu, procs, PolicyKind::RoundRobin.build(), CostModel::default(), Probe::new(256))
+
+        /// Run the fault handler for `key` at cycle 0 and return its
+        /// verdict with the charge it booked on the probe's ledger —
+        /// exactly what the kernel adds to the clock.
+        fn fault(&mut self, key: TupleKey) -> (FaultResolution, u64) {
+            let before = self.probe.ledger().total();
+            let verdict = self.cis.handle_fault(
+                key,
+                &mut self.rfu,
+                &mut self.procs,
+                self.pol.as_mut(),
+                &self.recovery,
+                None,
+                &self.costs,
+                &mut self.probe,
+                0,
+            );
+            (verdict, self.probe.ledger().total() - before)
+        }
+
+        /// Swap in slots whose watchdog trips after [`WATCHDOG`] clocks.
+        fn with_watchdog(mut self) -> Self {
+            let pfus = self.rfu.pfus().len();
+            self.rfu = Rfu::new(RfuConfig {
+                pfus,
+                watchdog_cycles: Some(WATCHDOG),
+                ..RfuConfig::default()
+            });
+            self
+        }
+
+        /// Drive one watchdog trip: issue `pid`'s instruction until the
+        /// RFU reports a fault (the faulty slot burns its allowance).
+        fn trip(&mut self, pid: Pid) {
+            assert!(
+                matches!(self.rfu.exec_custom(pid, 0, 2, 3, 0, 0, 100_000), CoprocResult::Fault),
+                "expected a watchdog trip"
+            );
+        }
+    }
+
+    fn setup(n_procs: u32, pfus: usize, mode: DispatchMode, sw: Option<u32>) -> Rig {
+        Rig::new(Cis::new(pfus, mode), pfus, (1..=n_procs).map(|pid| proc_with_circuit(pid, 0, sw)))
+    }
+
+    /// Two processes registering the same configuration image on a
+    /// one-PFU array with sharing enabled.
+    fn sharing_rig(images: [u64; 2]) -> Rig {
+        let [a, b] = images;
+        Rig::new(
+            Cis::with_sharing(1, DispatchMode::HardwareOnly, true),
+            1,
+            [proc_with_image(1, 0, None, Some(a)), proc_with_image(2, 0, None, Some(b))],
+        )
     }
 
     #[test]
     fn first_fault_loads_into_free_pfu() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let key = TupleKey::new(1, 0);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        match res {
-            FaultResolution::Reissue { cycles } => {
-                assert!(cycles > 13_000, "full 54 KB load, got {cycles}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(probe.stats().config_loads, 1);
+        let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None);
+        let (verdict, charged) = rig.fault(TupleKey::new(1, 0));
+        assert_eq!(verdict, FaultResolution::Reissue);
+        assert!(charged > 13_000, "full 54 KB load, got {charged}");
+        assert_eq!(rig.probe.stats().config_loads, 1);
         // Instruction now dispatches in hardware.
         assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
+            rig.rfu.exec_custom(1, 0, 2, 3, 0, 0, 100),
+            CoprocResult::Done { value: 5, .. }
         ));
     }
 
     #[test]
     fn unregistered_cid_kills() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let res = cis.handle_fault(TupleKey::new(1, 9), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert!(matches!(res, FaultResolution::Kill { .. }));
+        let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None);
+        assert_eq!(rig.fault(TupleKey::new(1, 9)).0, FaultResolution::Kill);
     }
 
     #[test]
     fn contention_evicts_a_victim() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(5, 4, DispatchMode::HardwareOnly, None);
+        let mut rig = setup(5, 4, DispatchMode::HardwareOnly, None);
         for pid in 1..=5 {
-            let res = cis.handle_fault(TupleKey::new(pid, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-            assert!(matches!(res, FaultResolution::Reissue { .. }));
+            assert_eq!(rig.fault(TupleKey::new(pid, 0)).0, FaultResolution::Reissue);
         }
-        assert_eq!(probe.stats().config_loads, 5);
-        assert_eq!(probe.stats().evictions, 1, "fifth circuit evicted one of the four");
+        assert_eq!(rig.probe.stats().config_loads, 5);
+        assert_eq!(rig.probe.stats().evictions, 1, "fifth circuit evicted one of the four");
         // The evicted process's registration got its instance (and
         // state) back.
         let evicted_pid = (1..=5)
-            .find(|p| procs[p].circuits[&0].loaded_at.is_none())
+            .find(|p| rig.procs[p].circuits[&0].loaded_at.is_none())
             .expect("someone was evicted");
-        assert!(procs[&evicted_pid].circuits[&0].instance.is_some());
+        assert!(rig.procs[&evicted_pid].circuits[&0].instance.is_some());
     }
 
     #[test]
     fn software_fallback_avoids_eviction() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(5, 4, DispatchMode::SoftwareFallback, Some(0x4000));
+        let mut rig = setup(5, 4, DispatchMode::SoftwareFallback, Some(0x4000));
         for pid in 1..=5 {
-            cis.handle_fault(TupleKey::new(pid, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+            rig.fault(TupleKey::new(pid, 0));
         }
-        assert_eq!(probe.stats().config_loads, 4, "only the four free PFUs were filled");
-        assert_eq!(probe.stats().evictions, 0);
-        assert_eq!(probe.stats().software_installs, 1);
+        assert_eq!(rig.probe.stats().config_loads, 4, "only the four free PFUs were filled");
+        assert_eq!(rig.probe.stats().evictions, 0);
+        assert_eq!(rig.probe.stats().software_installs, 1);
         // Fifth process now dispatches to software.
         assert!(matches!(
-            rfu.exec_custom(5, 0, 2, 3, 0, 0x88, 100),
-            proteus_cpu::coproc::CoprocResult::SoftwareDispatch { target: 0x4000, .. }
+            rig.rfu.exec_custom(5, 0, 2, 3, 0, 0x88, 100),
+            CoprocResult::SoftwareDispatch { target: 0x4000, .. }
         ));
     }
 
     #[test]
     fn mapping_fault_is_cheap() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
+        let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None);
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        rig.fault(key);
         // Simulate the TLB entry being pushed out while the circuit
         // stays resident.
-        rfu.tlb_hw_mut().invalidate(key);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        match res {
-            FaultResolution::Reissue { cycles } => {
-                assert!(cycles < 200, "mapping fault must not reload 54 KB, got {cycles}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(probe.stats().mapping_faults, 1);
-        assert_eq!(probe.stats().config_loads, 1, "no second load");
+        rig.rfu.tlb_hw_mut().invalidate(key);
+        let (verdict, charged) = rig.fault(key);
+        assert_eq!(verdict, FaultResolution::Reissue);
+        assert!(charged < 200, "mapping fault must not reload 54 KB, got {charged}");
+        assert_eq!(rig.probe.stats().mapping_faults, 1);
+        assert_eq!(rig.probe.stats().config_loads, 1, "no second load");
     }
 
     #[test]
     fn sharing_hands_over_via_state_swap() {
         // One PFU, two processes with the SAME configuration image:
         // the second fault must resolve with a state swap, not a load.
-        let mut cis = Cis::with_sharing(1, DispatchMode::HardwareOnly, true);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        procs.insert(1, proc_with_image(1, 0, None, Some(77)));
-        procs.insert(2, proc_with_image(2, 0, None, Some(77)));
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
-
-        let r1 = cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert!(matches!(r1, FaultResolution::Reissue { cycles } if cycles > 13_000), "first is a full load");
-        match cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0) {
-            FaultResolution::Reissue { cycles } => {
-                assert!(cycles < 500, "handover must be a state swap, took {cycles}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(probe.stats().config_loads, 1);
-        assert_eq!(probe.stats().state_swaps, 1);
-        assert_eq!(probe.stats().evictions, 0);
+        let mut rig = sharing_rig([77, 77]);
+        let (verdict, charged) = rig.fault(TupleKey::new(1, 0));
+        assert!(verdict == FaultResolution::Reissue && charged > 13_000, "first is a full load");
+        let (verdict, charged) = rig.fault(TupleKey::new(2, 0));
+        assert_eq!(verdict, FaultResolution::Reissue);
+        assert!(charged < 500, "handover must be a state swap, took {charged}");
+        assert_eq!(rig.probe.stats().config_loads, 1);
+        assert_eq!(rig.probe.stats().state_swaps, 1);
+        assert_eq!(rig.probe.stats().evictions, 0);
         // Process 2 now dispatches in hardware; process 1's mapping is
         // gone and its instance is home with its state.
         assert!(matches!(
-            rfu.exec_custom(2, 0, 4, 5, 0, 0, 100),
-            proteus_cpu::coproc::CoprocResult::Done { value: 9, .. }
+            rig.rfu.exec_custom(2, 0, 4, 5, 0, 0, 100),
+            CoprocResult::Done { value: 9, .. }
         ));
-        assert!(rfu.tlb_hw().lookup(TupleKey::new(1, 0)).is_none());
-        assert!(procs[&1].circuits[&0].instance.is_some());
+        assert!(rig.rfu.tlb_hw().lookup(TupleKey::new(1, 0)).is_none());
+        assert!(rig.procs[&1].circuits[&0].instance.is_some());
     }
 
     #[test]
     fn different_images_do_not_share() {
-        let mut cis = Cis::with_sharing(1, DispatchMode::HardwareOnly, true);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        procs.insert(1, proc_with_image(1, 0, None, Some(77)));
-        procs.insert(2, proc_with_image(2, 0, None, Some(88)));
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert_eq!(probe.stats().state_swaps, 0);
-        assert_eq!(probe.stats().config_loads, 2);
-        assert_eq!(probe.stats().evictions, 1, "incompatible images evict as usual");
+        let mut rig = sharing_rig([77, 88]);
+        rig.fault(TupleKey::new(1, 0));
+        rig.fault(TupleKey::new(2, 0));
+        assert_eq!(rig.probe.stats().state_swaps, 0);
+        assert_eq!(rig.probe.stats().config_loads, 2);
+        assert_eq!(rig.probe.stats().evictions, 1, "incompatible images evict as usual");
     }
 
     #[test]
     fn release_process_frees_pfus_and_tlbs() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(2, 4, DispatchMode::HardwareOnly, None);
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        cis.release_process(1, &mut rfu);
-        assert_eq!(rfu.pfus().free_pfus().len(), 3);
-        assert_eq!(rfu.tlb_hw().lookup(TupleKey::new(1, 0)), None);
-        assert!(rfu.tlb_hw().lookup(TupleKey::new(2, 0)).is_some());
-    }
-
-    fn watchdog_rfu(pfus: usize, wd: u64) -> Rfu {
-        Rfu::new(RfuConfig { pfus, watchdog_cycles: Some(wd), ..RfuConfig::default() })
-    }
-
-    /// Drive one watchdog trip: issue the instruction until the RFU
-    /// reports a fault (the faulty slot burns its watchdog allowance).
-    fn trip(rfu: &mut Rfu, pid: Pid) {
-        assert!(
-            matches!(
-                rfu.exec_custom(pid, 0, 2, 3, 0, 0, 100_000),
-                proteus_cpu::coproc::CoprocResult::Fault
-            ),
-            "expected a watchdog trip"
-        );
+        let mut rig = setup(2, 4, DispatchMode::HardwareOnly, None);
+        rig.fault(TupleKey::new(1, 0));
+        rig.fault(TupleKey::new(2, 0));
+        rig.cis.release_process(1, &mut rig.rfu);
+        assert_eq!(rig.rfu.pfus().free_pfus().len(), 3);
+        assert_eq!(rig.rfu.tlb_hw().lookup(TupleKey::new(1, 0)), None);
+        assert!(rig.rfu.tlb_hw().lookup(TupleKey::new(2, 0)).is_some());
     }
 
     #[test]
     fn seu_corruption_is_repaired_in_place() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let mut rfu = watchdog_rfu(4, 100);
+        let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None).with_watchdog();
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        let pfu = procs[&1].circuits[&0].loaded_at.expect("loaded");
+        rig.fault(key);
+        let pfu = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
 
         // An SEU corrupts the resident frames; the next issue hangs,
         // the watchdog trips, and the handler repairs in place.
-        rfu.pfus_mut().health_mut(pfu).config_corrupt = true;
-        trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        match res {
-            FaultResolution::Reissue { cycles } => {
-                assert!(cycles > 13_000, "repair re-drives the full configuration: {cycles}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(probe.stats().pfu_faults, 1);
-        assert_eq!(probe.stats().crc_errors, 1, "readback attributed the trip to corruption");
-        assert_eq!(probe.stats().recovery_retries, 1);
-        assert_eq!(probe.stats().quarantines, 0);
+        rig.rfu.pfus_mut().health_mut(pfu).config_corrupt = true;
+        rig.trip(1);
+        let (verdict, charged) = rig.fault(key);
+        assert_eq!(verdict, FaultResolution::Reissue);
+        assert!(charged > 13_000, "repair re-drives the full configuration: {charged}");
+        assert_eq!(rig.probe.stats().pfu_faults, 1);
+        assert_eq!(rig.probe.stats().crc_errors, 1, "readback attributed the trip to corruption");
+        assert_eq!(rig.probe.stats().recovery_retries, 1);
+        assert_eq!(rig.probe.stats().quarantines, 0);
         // Recovered: same slot, correct result.
-        assert_eq!(procs[&1].circuits[&0].loaded_at, Some(pfu));
+        assert_eq!(rig.procs[&1].circuits[&0].loaded_at, Some(pfu));
         assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
+            rig.rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
+            CoprocResult::Done { value: 5, .. }
         ));
     }
 
     #[test]
     fn stuck_done_escalates_to_quarantine_and_relocation() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let mut rfu = watchdog_rfu(4, 100);
-        let recovery =
+        let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None).with_watchdog();
+        rig.recovery =
             RecoveryPolicy { max_retries: 1, software_failover: false, quarantine_threshold: Some(2) };
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        let home = procs[&1].circuits[&0].loaded_at.expect("loaded");
-        rfu.pfus_mut().health_mut(home).stuck_done = true;
+        rig.fault(key);
+        let home = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
+        rig.rfu.pfus_mut().health_mut(home).stuck_done = true;
 
         // Trip 1: the blind retry reconfigures the same (still stuck)
         // slot. Trip 2: strike two, quarantine and relocate.
-        trip(&mut rfu, 1);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        assert_eq!(probe.stats().recovery_retries, 1);
-        trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        assert!(matches!(res, FaultResolution::Reissue { .. }));
+        rig.trip(1);
+        rig.fault(key);
+        assert_eq!(rig.probe.stats().recovery_retries, 1);
+        rig.trip(1);
+        assert_eq!(rig.fault(key).0, FaultResolution::Reissue);
 
-        assert_eq!(probe.stats().quarantines, 1);
-        assert!(rfu.pfus().health(home).quarantined);
-        let new_home = procs[&1].circuits[&0].loaded_at.expect("relocated");
+        assert_eq!(rig.probe.stats().quarantines, 1);
+        assert!(rig.rfu.pfus().health(home).quarantined);
+        let new_home = rig.procs[&1].circuits[&0].loaded_at.expect("relocated");
         assert_ne!(new_home, home, "circuit moved off the quarantined slot");
-        assert!(!rfu.pfus().available_pfus().contains(&home));
+        assert!(!rig.rfu.pfus().available_pfus().contains(&home));
         // Degraded but correct: the instruction completes on the new
         // home.
         assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
+            rig.rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
+            CoprocResult::Done { value: 5, .. }
         ));
     }
 
     #[test]
     fn exhausted_retries_fail_over_to_software() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000));
-        let mut rfu = watchdog_rfu(1, 100);
-        let recovery =
+        let mut rig = setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000)).with_watchdog();
+        rig.recovery =
             RecoveryPolicy { max_retries: 0, software_failover: true, quarantine_threshold: None };
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        rfu.pfus_mut().health_mut(0).stuck_done = true;
+        rig.fault(key);
+        rig.rfu.pfus_mut().health_mut(0).stuck_done = true;
 
-        trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        assert!(matches!(res, FaultResolution::Reissue { .. }));
-        assert_eq!(probe.stats().fault_failovers, 1);
-        assert_eq!(probe.stats().recovery_retries, 0, "retry rung was disabled");
-        assert!(procs[&1].circuits[&0].soft_active);
-        assert!(rfu.pfus().free_pfus().contains(&0), "the abandoned slot was unloaded");
+        rig.trip(1);
+        assert_eq!(rig.fault(key).0, FaultResolution::Reissue);
+        assert_eq!(rig.probe.stats().fault_failovers, 1);
+        assert_eq!(rig.probe.stats().recovery_retries, 0, "retry rung was disabled");
+        assert!(rig.procs[&1].circuits[&0].soft_active);
+        assert!(rig.rfu.pfus().free_pfus().contains(&0), "the abandoned slot was unloaded");
         // The reissue dispatches through TLB2 to the alternative.
         assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0x88, 100_000),
-            proteus_cpu::coproc::CoprocResult::SoftwareDispatch { target: 0x4000, .. }
+            rig.rfu.exec_custom(1, 0, 2, 3, 0, 0x88, 100_000),
+            CoprocResult::SoftwareDispatch { target: 0x4000, .. }
         ));
     }
 
     #[test]
     fn retry_only_policy_kills_on_persistent_fault() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000));
-        let mut rfu = watchdog_rfu(1, 100);
-        let recovery = RecoveryPolicy::retry_only(1);
+        let mut rig = setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000)).with_watchdog();
+        rig.recovery = RecoveryPolicy::retry_only(1);
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        rfu.pfus_mut().health_mut(0).stuck_done = true;
+        rig.fault(key);
+        rig.rfu.pfus_mut().health_mut(0).stuck_done = true;
 
-        trip(&mut rfu, 1);
-        assert!(matches!(
-            cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0),
-            FaultResolution::Reissue { .. }
-        ));
-        trip(&mut rfu, 1);
+        rig.trip(1);
+        assert_eq!(rig.fault(key).0, FaultResolution::Reissue);
+        rig.trip(1);
         // Retries exhausted, failover disabled: the ladder bottoms out.
-        assert!(matches!(
-            cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0),
-            FaultResolution::Kill { .. }
-        ));
+        assert_eq!(rig.fault(key).0, FaultResolution::Kill);
+    }
+
+    /// Every resolution path books exactly its [`CostModel`] terms. The
+    /// ledger is the charge's only source, so this pins each path's
+    /// cost against the model instead of against a second tally.
+    #[test]
+    fn each_resolution_path_charges_its_cost_model_terms() {
+        use DispatchMode::{HardwareOnly, SoftwareFallback};
+        use FaultResolution::{Kill, Reissue};
+        let c = CostModel::default();
+        let reg = &proc_with_circuit(1, 0, None).circuits[&0];
+        let (sb, sw) = (reg.static_bytes, reg.state_words);
+        let detect = WATCHDOG + c.crc_check;
+        // A resident circuit whose slot sticks `done` and trips once
+        // under `recovery`; the pinned fault is the trip's.
+        fn stuck(pfus: usize, sw: Option<u32>, recovery: RecoveryPolicy) -> (Rig, TupleKey) {
+            let mut rig = setup(1, pfus, HardwareOnly, sw).with_watchdog();
+            rig.recovery = recovery;
+            let key = TupleKey::new(1, 0);
+            rig.fault(key);
+            let home = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
+            rig.rfu.pfus_mut().health_mut(home).stuck_done = true;
+            rig.trip(1);
+            (rig, key)
+        }
+        // Each arrangement leaves a rig one fault away from its path.
+        type Arrange = fn() -> (Rig, TupleKey);
+        let cases: [(&str, Arrange, FaultResolution, u64); 8] = [
+            (
+                "mapping repair",
+                || {
+                    let mut rig = setup(1, 4, HardwareOnly, None);
+                    let key = TupleKey::new(1, 0);
+                    rig.fault(key);
+                    rig.rfu.tlb_hw_mut().invalidate(key);
+                    (rig, key)
+                },
+                Reissue,
+                c.fault_entry + c.tlb_program,
+            ),
+            (
+                "soft-mapping repair",
+                || {
+                    let mut rig = setup(5, 4, SoftwareFallback, Some(0x4000));
+                    for pid in 1..=5 {
+                        rig.fault(TupleKey::new(pid, 0));
+                    }
+                    let key = TupleKey::new(5, 0);
+                    assert!(rig.procs[&5].circuits[&0].soft_active);
+                    rig.rfu.tlb_sw_mut().invalidate(key);
+                    (rig, key)
+                },
+                Reissue,
+                c.fault_entry + c.tlb_program,
+            ),
+            (
+                "full load with eviction",
+                || {
+                    let mut rig = setup(5, 4, HardwareOnly, None);
+                    for pid in 1..=4 {
+                        rig.fault(TupleKey::new(pid, 0));
+                    }
+                    (rig, TupleKey::new(5, 0))
+                },
+                Reissue,
+                c.fault_entry
+                    + c.unload_cycles(sb, sw)
+                    + c.full_load_cycles(sb, sw)
+                    + c.tlb_program,
+            ),
+            (
+                "sharing state swap",
+                || {
+                    let mut rig = sharing_rig([77, 77]);
+                    rig.fault(TupleKey::new(1, 0));
+                    (rig, TupleKey::new(2, 0))
+                },
+                Reissue,
+                c.fault_entry + c.state_swap_cycles(sw) + c.tlb_program,
+            ),
+            (
+                "SEU repair in place",
+                || {
+                    let mut rig = setup(1, 4, HardwareOnly, None).with_watchdog();
+                    let key = TupleKey::new(1, 0);
+                    rig.fault(key);
+                    let home = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
+                    rig.rfu.pfus_mut().health_mut(home).config_corrupt = true;
+                    rig.trip(1);
+                    (rig, key)
+                },
+                Reissue,
+                c.fault_entry + detect + c.retry_load_cycles(sb, sw, 1),
+            ),
+            (
+                "quarantine with relocation",
+                || {
+                    stuck(4, None, RecoveryPolicy {
+                        max_retries: 0,
+                        software_failover: false,
+                        quarantine_threshold: Some(1),
+                    })
+                },
+                Reissue,
+                c.fault_entry
+                    + detect
+                    + c.unload_cycles(sb, sw)
+                    + c.full_load_cycles(sb, sw)
+                    + c.tlb_program,
+            ),
+            (
+                "software failover",
+                || {
+                    stuck(1, Some(0x4000), RecoveryPolicy {
+                        max_retries: 0,
+                        software_failover: true,
+                        quarantine_threshold: None,
+                    })
+                },
+                Reissue,
+                c.fault_entry + detect + c.unload_cycles(sb, sw) + c.tlb_program,
+            ),
+            (
+                "kill after detection",
+                || stuck(1, Some(0x4000), RecoveryPolicy::retry_only(0)),
+                Kill,
+                c.fault_entry + detect,
+            ),
+        ];
+        for (path, arrange, verdict, charge) in cases {
+            let (mut rig, key) = arrange();
+            assert_eq!(rig.fault(key), (verdict, charge), "{path}");
+        }
     }
 
     #[test]
@@ -993,43 +1058,35 @@ mod tests {
         // One PFU, two processes with multi-cycle circuits: process 1's
         // instruction is interrupted, evicted, reloaded, and must resume
         // where it stopped.
-        let mut cis = Cis::new(1, DispatchMode::HardwareOnly);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        for pid in 1..=2u32 {
+        let procs = (1..=2u32).map(|pid| {
             let mut p = proc_with_circuit(pid, 0, None);
             p.circuits.insert(
                 0,
                 Registered::new(Box::new(FixedLatency::new("slow", 10, 4, |a, b| a + b)), None),
             );
-            procs.insert(pid, p);
-        }
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
+            p
+        });
+        let mut rig = Rig::new(Cis::new(1, DispatchMode::HardwareOnly), 1, procs);
 
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        rig.fault(TupleKey::new(1, 0));
         // Run 4 of 10 cycles, then get interrupted.
         assert!(matches!(
-            rfu.exec_custom(1, 0, 20, 22, 0, 0, 4),
-            proteus_cpu::coproc::CoprocResult::Interrupted { cycles: 4 }
+            rig.rfu.exec_custom(1, 0, 20, 22, 0, 0, 4),
+            CoprocResult::Interrupted { cycles: 4 }
         ));
         // Process 2 steals the PFU.
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        rig.fault(TupleKey::new(2, 0));
         assert!(matches!(
-            rfu.exec_custom(2, 0, 1, 1, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 2, .. }
+            rig.rfu.exec_custom(2, 0, 1, 1, 0, 0, 1000),
+            CoprocResult::Done { value: 2, .. }
         ));
         // Process 1 faults (its mapping is gone), gets reloaded, and the
         // reissued instruction needs only the remaining 6 cycles.
+        assert!(matches!(rig.rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000), CoprocResult::Fault));
+        rig.fault(TupleKey::new(1, 0));
         assert!(matches!(
-            rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Fault
-        ));
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 42, cycles: 6 }
+            rig.rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000),
+            CoprocResult::Done { value: 42, cycles: 6 }
         ));
     }
 }

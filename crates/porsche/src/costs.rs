@@ -57,10 +57,16 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Words in a full configuration transfer: the static frames of
+    /// `static_bytes` plus `state_words` of state.
+    pub fn full_words(static_bytes: usize, state_words: usize) -> u64 {
+        (static_bytes as u64).div_ceil(4) + state_words as u64
+    }
+
     /// Cycles to load a full configuration of `static_bytes` plus
     /// `state_words` of initial state.
     pub fn full_load_cycles(&self, static_bytes: usize, state_words: usize) -> u64 {
-        let words = (static_bytes as u64).div_ceil(4) + state_words as u64;
+        let words = Self::full_words(static_bytes, state_words);
         self.config_overhead + words * self.config_word_transfer
     }
 
@@ -77,13 +83,19 @@ impl CostModel {
         self.config_overhead + 2 * state_words as u64 * self.config_word_transfer
     }
 
-    /// Cycles to save a swapped-out circuit's context: state frames only
-    /// (or the full configuration under the A4 ablation).
-    pub fn unload_cycles(&self, static_bytes: usize, state_words: usize) -> u64 {
-        let mut words = state_words as u64;
+    /// Words written back when a circuit is swapped out: state frames
+    /// only (or the full configuration under the A4 ablation).
+    pub fn unload_words(&self, static_bytes: usize, state_words: usize) -> u64 {
         if self.save_full_config_on_unload {
-            words += (static_bytes as u64).div_ceil(4);
+            Self::full_words(static_bytes, state_words)
+        } else {
+            state_words as u64
         }
+    }
+
+    /// Cycles to save a swapped-out circuit's context.
+    pub fn unload_cycles(&self, static_bytes: usize, state_words: usize) -> u64 {
+        let words = self.unload_words(static_bytes, state_words);
         self.config_overhead + words * self.config_word_transfer
     }
 }

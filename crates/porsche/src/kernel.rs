@@ -462,8 +462,6 @@ impl Kernel {
             if !corrupt {
                 continue;
             }
-            // Repair by re-driving the configuration; transfer sizes
-            // come from the owner's registration record.
             let Some(key) = *owner else { continue };
             // Repairs share the slot's reconfiguration allowance
             // (`retries`, reset on every completion) with the fault
@@ -475,24 +473,20 @@ impl Kernel {
             if rfu.pfus().health(pfu).retries > self.config.recovery.max_retries {
                 continue;
             }
-            let Some(reg) = self.procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid))
-            else {
-                continue;
-            };
-            let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
-            let attempt = rfu.pfus().health(pfu).retries + 1;
-            rfu.pfus_mut().health_mut(pfu).retries = attempt;
-            if let Some((circuit, _)) = rfu.pfus_mut().unload(pfu) {
-                rfu.pfus_mut().load(pfu, circuit);
-                let cost = self.config.costs.retry_load_cycles(static_bytes, state_words, attempt);
-                let words = (static_bytes as u64).div_ceil(4) + state_words as u64;
-                cpu.add_cycles(cost);
-                self.probe.emit(
-                    cpu.cycles(),
-                    Tag::new(key.pid, Callsite::Scrub),
-                    Event::RecoveryRetry { key, pfu, attempt, words, cost },
-                );
-            }
+            // Repair by re-driving the configuration, the same routine
+            // as the handler's rungs, and charge what it booked.
+            let before = self.probe.ledger().total();
+            Cis::redrive(
+                key,
+                pfu,
+                &self.procs,
+                rfu,
+                &self.config.costs,
+                &mut self.probe,
+                cpu.cycles(),
+                Callsite::Scrub,
+            );
+            cpu.add_cycles(self.probe.ledger().total() - before);
         }
     }
 
@@ -715,6 +709,9 @@ impl Kernel {
                         self.terminate(ProcState::Killed, cpu, rfu);
                         continue;
                     };
+                    // The handler's cost is exactly what its events
+                    // booked on the ledger.
+                    let before = self.probe.ledger().total();
                     let resolution = cis.handle_fault(
                         key,
                         rfu,
@@ -726,21 +723,14 @@ impl Kernel {
                         &mut self.probe,
                         cpu.cycles(),
                     );
+                    cpu.add_cycles(self.probe.ledger().total() - before);
                     match resolution {
-                        FaultResolution::Reissue { cycles } => {
-                            cpu.add_cycles(cycles);
+                        FaultResolution::Reissue => {
                             // Progress guarantee (see KernelConfig).
                             self.quantum_end =
                                 self.quantum_end.max(cpu.cycles() + self.config.post_fault_grace);
                         }
-                        FaultResolution::Kill { cycles } => {
-                            // Charge everything the handler did before
-                            // reaching the verdict (entry, diagnosis,
-                            // failed retries) so every cost it emitted
-                            // stays conserved.
-                            cpu.add_cycles(cycles);
-                            self.terminate(ProcState::Killed, cpu, rfu);
-                        }
+                        FaultResolution::Kill => self.terminate(ProcState::Killed, cpu, rfu),
                     }
                 }
                 Stop::Undefined { .. } | Stop::MemFault { .. } => {

@@ -478,7 +478,11 @@ impl Tag {
 
 /// A consumer of the event stream. Sinks must be pure folds: they may
 /// accumulate state from the events they see but must not feed back
-/// into the simulation.
+/// into the simulation. The one exception is built in: the kernel
+/// charges management work (the fault handler, scrub repairs) by
+/// reading the probe's own [`CycleLedger`] total, so that fold is the
+/// single record of what those cycles cost. Extra sinks attached with
+/// [`Probe::add_sink`] are never read back.
 pub trait EventSink: Send {
     /// Observe one event, stamped at simulated cycle `at` and
     /// attributed by `tag`.

@@ -70,4 +70,32 @@ test -s "$serial_dir/chrome_trace_alpha.json" \
 grep -q '"traceEvents"' "$serial_dir/chrome_trace_alpha.json"
 echo "folded profile byte-identical across job counts and matches the golden"
 
+echo "== benchmark correctness gate (perfbench, makespan golden diff) =="
+# Every benchmark workload must pass perfbench's own gate (checksums,
+# conservation, no kills); the traced thrash run adds the probe replay
+# and the traced-vs-untraced fingerprints. Simulated makespans are
+# deterministic, so the untraced runs must reproduce the golden exactly.
+mkdir -p target/ci-repro
+makespans=target/ci-repro/perfbench_makespan.txt
+: >"$makespans"
+for run in "resident 0" "thrash 0" "fig3_sweep 0" "thrash 1"; do
+    read -r workload trace <<<"$run"
+    log="target/ci-repro/perfbench_${workload}_trace$trace.log"
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 0.1 --trace "$trace" 2>"$log" | tail -n 1)
+    case "$last" in
+        '{"correct": true, '*'"failed": 0, '*) ;;
+        *)
+            echo "perfbench $workload --trace $trace failed its gate (stderr in $log): $last" >&2
+            exit 1
+            ;;
+    esac
+    if [ "$trace" = 0 ]; then
+        makespan=$(sed -n 's/.*"sim_makespan_mcycles": {"value": \([0-9.]*\).*/\1/p' <<<"$last")
+        echo "$workload $makespan" >>"$makespans"
+    fi
+done
+diff scripts/golden/perfbench_makespan.txt "$makespans"
+echo "benchmark workloads pass their correctness gate and match the makespan golden"
+
 echo "== ci.sh OK =="
