@@ -56,19 +56,10 @@ impl BlockCircuit {
             1
         }
     }
-}
 
-impl PfuCircuit for BlockCircuit {
-    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        self.elapsed += 1;
-        if self.elapsed < self.latency() {
-            return CircuitClock { result: 0, done: false };
-        }
-        self.elapsed = 0;
+    /// The clock on which the current invocation raises `done`: consume
+    /// the latched operands, advance the phase and return the result.
+    fn complete(&mut self) -> u32 {
         let (a, b) = self.latched;
         let (result, next_phase) = match self.phase {
             0 => {
@@ -95,7 +86,43 @@ impl PfuCircuit for BlockCircuit {
             }
         };
         self.phase = next_phase;
-        CircuitClock { result, done: true }
+        result
+    }
+}
+
+impl PfuCircuit for BlockCircuit {
+    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
+        if init {
+            self.elapsed = 0;
+            self.latched = (op_a, op_b);
+        }
+        self.elapsed += 1;
+        if self.elapsed < self.latency() {
+            return CircuitClock { result: 0, done: false };
+        }
+        self.elapsed = 0;
+        CircuitClock { result: self.complete(), done: true }
+    }
+
+    fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
+        // Same as clocking one cycle at a time, without the loop: no
+        // clock runs (and nothing latches) on a zero budget, and `done`
+        // rises on the clock where `elapsed` reaches the phase latency.
+        if budget == 0 {
+            return (0, None);
+        }
+        if init {
+            self.elapsed = 0;
+            self.latched = (op_a, op_b);
+        }
+        let remaining = u64::from(self.latency().saturating_sub(self.elapsed)).max(1);
+        if remaining <= budget {
+            self.elapsed = 0;
+            (remaining, Some(self.complete()))
+        } else {
+            self.elapsed += budget as u32;
+            (budget, None)
+        }
     }
 
     fn save_state(&self) -> CircuitState {
@@ -168,6 +195,63 @@ mod tests {
         // Phase machine wrapped: the next block starts cleanly.
         let (r, _) = run_instr(&mut c, pt[0], pt[1]);
         assert_eq!(r, 0);
+    }
+
+    /// The same circuit without the override: the trait's default
+    /// `run_clocks` loop over `clock`.
+    #[derive(Debug)]
+    struct Stepped(BlockCircuit);
+
+    impl PfuCircuit for Stepped {
+        fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
+            self.0.clock(op_a, op_b, init)
+        }
+
+        fn save_state(&self) -> CircuitState {
+            self.0.save_state()
+        }
+
+        fn load_state(&mut self, state: &CircuitState) -> Result<(), FabricError> {
+            self.0.load_state(state)
+        }
+    }
+
+    #[test]
+    fn run_clocks_fast_forward_matches_the_clock_loop() {
+        let key = *b"fast-forward-key";
+        let (a, b) = (0x0123_4567, 0x89AB_CDEF);
+        for phase in 0..5u32 {
+            for budget in 0..=21u64 {
+                // Bring both to `phase` by whole invocations.
+                let mut fast = BlockCircuit::new(&key);
+                let mut slow = Stepped(BlockCircuit::new(&key));
+                for p in 0..phase {
+                    assert_eq!(fast.run_clocks(p, !p, true, 64), slow.run_clocks(p, !p, true, 64));
+                }
+                let got = fast.run_clocks(a, b, true, budget);
+                assert_eq!(got, slow.run_clocks(a, b, true, budget), "phase {phase} budget {budget}");
+                assert_eq!(fast.save_state(), slow.save_state(), "phase {phase} budget {budget}");
+                if got.1.is_some() {
+                    continue;
+                }
+                // Interrupted: swap out into fresh instances, then resume
+                // with init low under every budget.
+                for resume in 1..=21u64 {
+                    let mut f = BlockCircuit::new(&key);
+                    f.load_state(&fast.save_state()).expect("restore");
+                    let mut s = Stepped(BlockCircuit::new(&key));
+                    s.load_state(&slow.save_state()).expect("restore");
+                    let out = f.run_clocks(a, b, false, resume);
+                    let at = format!("phase {phase} budget {budget} resume {resume}");
+                    assert_eq!(out, s.run_clocks(a, b, false, resume), "{at}");
+                    assert_eq!(f.save_state(), s.save_state(), "{at}");
+                    if out.1.is_some() {
+                        let latency = if phase == 1 { ENCRYPT_LATENCY } else { 1 };
+                        assert_eq!(budget + out.0, u64::from(latency), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The fetch/decode/execute loop with ARM7-class cycle accounting.
 
-use proteus_isa::{BlockOp, Instr, MemOp, Reg};
+use proteus_isa::{BlockOp, Cond, DpOp, Instr, MemOp, Reg};
 
 use crate::alu::{self, Cpsr};
 use crate::coproc::{CoprocResult, Coprocessor};
+use crate::lower::{Op, Uop};
 use crate::memory::{MemError, Memory};
 
 /// Why [`Cpu::run`] returned. The kernel model dispatches on this.
@@ -205,16 +206,23 @@ impl Cpu {
     ///
     /// The quantum bound is the only per-instruction check: the kernel
     /// computes the span's stop cycle once and passes it down, so the
-    /// loop compares a single counter against a constant.
-    pub fn run(&mut self, mem: &mut Memory, coproc: &mut dyn Coprocessor, until_cycle: u64) -> Stop {
+    /// loop compares a single counter against a constant. Generic over
+    /// the coprocessor so a concrete RFU's issue path inlines; a
+    /// `&mut dyn Coprocessor` still works.
+    pub fn run<C: Coprocessor + ?Sized>(
+        &mut self,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+    ) -> Stop {
         loop {
             if self.cycles >= until_cycle {
                 return Stop::Quantum;
             }
             // Any instruction executed inside a software-dispatch
             // handler is soft-dispatch time (the dispatching issue
-            // itself is attributed by the dispatch arm in `step`, the
-            // closing `retsd` by this wrapper).
+            // itself is attributed by `issue`, the closing `retsd` by
+            // this wrapper).
             let stop = if self.soft_depth > 0 {
                 let span_start = self.cycles;
                 let stop = self.step(mem, coproc, until_cycle);
@@ -235,34 +243,210 @@ impl Cpu {
     /// Force-inlined into [`Cpu::run`]: the per-instruction call and the
     /// `Option<Stop>` return shuffle are measurable at interpreter speed.
     #[inline(always)]
-    pub fn step(
+    pub fn step<C: Coprocessor + ?Sized>(
         &mut self,
         mem: &mut Memory,
-        coproc: &mut dyn Coprocessor,
+        coproc: &mut C,
         until_cycle: u64,
     ) -> Option<Stop> {
         let pc = self.regs[15];
-        // Infallible icache-hit lane: dense program text hits here with
-        // no `Result`/`Option` juggling; first decodes, undefined words
-        // and fetch faults all take the cold fallback.
-        let (word, instr) = match mem.cached_instr(pc) {
-            Some(entry) => entry,
-            None => match mem.fetch_instr(pc) {
-                Ok((word, Some(i))) => (word, i),
+        // Infallible decode-cache lane: dense program text hits here
+        // with no `Result`/`Option` juggling; first fetches, undefined
+        // words and fetch faults all take the cold fallback.
+        let op = match mem.cached_op(pc) {
+            Some(op) => op,
+            None => match mem.fetch_op(pc) {
+                Ok((_, Some(op))) => op,
                 Ok((word, None)) => return Some(Stop::Undefined { word, pc }),
                 Err(err) => return Some(Stop::MemFault { err, pc }),
             },
         };
-        // The condition field is bits 31..28 of every encoding, so the
-        // raw word answers "unconditional?" (almost always yes) with a
-        // shift — no re-extraction from the decoded form, no flag loads.
-        if word >> 28 != proteus_isa::Cond::Al as u32
-            && !instr.cond().passes(self.cpsr.n, self.cpsr.z, self.cpsr.c, self.cpsr.v)
-        {
+        self.exec(op, pc, mem, coproc, until_cycle)
+    }
+
+    /// Execute `op`, the lowered instruction at `pc`: one flat match
+    /// over the micro-ops. The specialised arms never touch `r15`, so
+    /// they index the register file directly.
+    #[inline(always)]
+    fn exec<C: Coprocessor + ?Sized>(
+        &mut self,
+        op: Op,
+        pc: u32,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+    ) -> Option<Stop> {
+        let Cpsr { n, z, c, v } = self.cpsr;
+        if op.cond != Cond::Al && !op.cond.passes(n, z, c, v) {
             self.charge(cost::COND_FAIL);
             self.regs[15] = pc.wrapping_add(4);
             return None;
         }
+        // The mask is free and drops the register-file bounds checks.
+        let r = |i: u8| usize::from(i & 0xF);
+        let mut next_pc = pc.wrapping_add(4);
+        match op.uop {
+            Uop::DpImm { op, rd, rn, imm } => {
+                self.charge(cost::DP);
+                let (value, writes_rd) = alu::exec_dp_value(op, self.regs[r(rn)], imm, self.cpsr.c);
+                if writes_rd {
+                    self.regs[r(rd)] = value;
+                }
+            }
+            Uop::DpReg { op, rd, rn, rm } => {
+                self.charge(cost::DP);
+                let (value, writes_rd) =
+                    alu::exec_dp_value(op, self.regs[r(rn)], self.regs[r(rm)], self.cpsr.c);
+                if writes_rd {
+                    self.regs[r(rd)] = value;
+                }
+            }
+            Uop::DpShift { op, rd, rn, rm, shift } => {
+                self.charge(cost::DP);
+                let (op2, _) = alu::barrel_shift(self.regs[r(rm)], shift, self.cpsr.c);
+                let (value, writes_rd) = alu::exec_dp_value(op, self.regs[r(rn)], op2, self.cpsr.c);
+                if writes_rd {
+                    self.regs[r(rd)] = value;
+                }
+            }
+            Uop::SubsImm { rd, rn, imm } => {
+                self.charge(cost::DP);
+                let res = alu::exec_dp(DpOp::Sub, self.regs[r(rn)], imm, false, self.cpsr);
+                self.cpsr = res.flags;
+                self.regs[r(rd)] = res.value;
+            }
+            Uop::CmpImm { rn, imm } => {
+                self.charge(cost::DP);
+                self.cpsr = alu::exec_dp(DpOp::Cmp, self.regs[r(rn)], imm, false, self.cpsr).flags;
+            }
+            Uop::CmpReg { rn, rm } => {
+                self.charge(cost::DP);
+                let (a, b) = (self.regs[r(rn)], self.regs[r(rm)]);
+                self.cpsr = alu::exec_dp(DpOp::Cmp, a, b, false, self.cpsr).flags;
+            }
+            Uop::Ldr { rd, rn, off } => {
+                self.charge(cost::LDR);
+                match mem.read_word(self.regs[r(rn)].wrapping_add(off)) {
+                    Ok(v) => self.regs[r(rd)] = v,
+                    Err(err) => return Some(Stop::MemFault { err, pc }),
+                }
+            }
+            Uop::LdrPost { rd, rn, off } => {
+                self.charge(cost::LDR);
+                let base = self.regs[r(rn)];
+                match mem.read_word(base) {
+                    Ok(v) => {
+                        self.regs[r(rn)] = base.wrapping_add(off);
+                        self.regs[r(rd)] = v;
+                    }
+                    Err(err) => return Some(Stop::MemFault { err, pc }),
+                }
+            }
+            Uop::Str { rd, rn, off } => {
+                self.charge(cost::STR);
+                if let Err(err) = mem.write_word(self.regs[r(rn)].wrapping_add(off), self.regs[r(rd)]) {
+                    return Some(Stop::MemFault { err, pc });
+                }
+            }
+            Uop::StrPost { rd, rn, off } => {
+                self.charge(cost::STR);
+                let base = self.regs[r(rn)];
+                if let Err(err) = mem.write_word(base, self.regs[r(rd)]) {
+                    return Some(Stop::MemFault { err, pc });
+                }
+                self.regs[r(rn)] = base.wrapping_add(off);
+            }
+            Uop::B { target } => {
+                self.charge(cost::BRANCH_TAKEN);
+                next_pc = target;
+            }
+            Uop::Bl { target } => {
+                self.charge(cost::BRANCH_TAKEN);
+                self.regs[14] = next_pc;
+                next_pc = target;
+            }
+            Uop::Pfu { cid, rd, rn, rm } => {
+                let (op_a, op_b) = (self.regs[r(rn)], self.regs[r(rm)]);
+                match self.issue(coproc, cid, r(rd), op_a, op_b, pc, until_cycle) {
+                    Ok(target) => next_pc = target,
+                    Err(stop) => return Some(stop),
+                }
+            }
+            Uop::General(instr) => return self.exec_general(instr, pc, mem, coproc, until_cycle),
+        }
+        self.regs[15] = next_pc;
+        None
+    }
+
+    /// Issue custom instruction `cid` on resolved operands; the `pfu`
+    /// at `pc` writes `rd`. Returns the next PC, or the stop it raised.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn issue<C: Coprocessor + ?Sized>(
+        &mut self,
+        coproc: &mut C,
+        cid: u8,
+        rd: usize,
+        op_a: u32,
+        op_b: u32,
+        pc: u32,
+        until_cycle: u64,
+    ) -> Result<u32, Stop> {
+        self.charge(cost::PFU_ISSUE);
+        let next_pc = pc.wrapping_add(4);
+        let budget = until_cycle.saturating_sub(self.cycles);
+        // PID register: workstation-class processors hold the current
+        // PID (§4.2); we model it in coprocessor register 15 by kernel
+        // convention, but pass it explicitly.
+        let pid = coproc.read_reg(15);
+        match coproc.exec_custom(pid, cid, op_a, op_b, rd as u8, next_pc, budget) {
+            CoprocResult::Done { value, cycles } => {
+                self.charge(cycles);
+                if self.soft_depth == 0 {
+                    self.mix.custom += cycles;
+                }
+                self.regs[rd] = value;
+                Ok(next_pc)
+            }
+            CoprocResult::Interrupted { cycles } => {
+                self.charge(cycles);
+                if self.soft_depth == 0 {
+                    self.mix.custom += cycles;
+                }
+                // Do not advance PC: the instruction is reissued after
+                // the interrupt, resuming via the status-register
+                // mechanism (§4.4).
+                Err(Stop::Quantum)
+            }
+            CoprocResult::SoftwareDispatch { target, cycles } => {
+                self.charge(cycles + cost::BRANCH_TAKEN);
+                if self.soft_depth == 0 {
+                    // Entering a handler from user code: the dispatching
+                    // issue is soft-dispatch time. (Nested dispatches are
+                    // covered by the `run` wrapper.)
+                    self.mix.soft_dispatch += cost::PFU_ISSUE + cycles + cost::BRANCH_TAKEN;
+                }
+                self.soft_depth += 1;
+                self.regs[14] = next_pc;
+                Ok(target)
+            }
+            CoprocResult::Fault => Err(Stop::CustomFault { cid, pc }),
+        }
+    }
+
+    /// Execute a form with no specialised micro-op (anything touching
+    /// `r15`, flag-setting data processing, multiplies, byte and
+    /// register-offset transfers, block transfers and the coprocessor
+    /// moves). The condition has already passed.
+    #[inline(never)]
+    fn exec_general<C: Coprocessor + ?Sized>(
+        &mut self,
+        instr: Instr,
+        pc: u32,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+    ) -> Option<Stop> {
         let mut next_pc = pc.wrapping_add(4);
         match instr {
             Instr::DataProc { op, s, rd, rn, op2, .. } => {
@@ -416,49 +600,11 @@ impl Cpu {
                 return Some(Stop::Swi { imm });
             }
             Instr::Pfu { cid, rd, rn, rm, .. } => {
-                self.charge(cost::PFU_ISSUE);
                 let op_a = arch_read(&self.regs, pc, rn.index());
                 let op_b = arch_read(&self.regs, pc, rm.index());
-                let budget = until_cycle.saturating_sub(self.cycles);
-                // PID register: workstation-class processors hold the
-                // current PID (§4.2); we model it in coprocessor register
-                // 15 by kernel convention, but pass it explicitly.
-                let pid = coproc.read_reg(15);
-                match coproc.exec_custom(pid, cid, op_a, op_b, rd.index() as u8, next_pc, budget) {
-                    CoprocResult::Done { value, cycles } => {
-                        self.charge(cycles);
-                        if self.soft_depth == 0 {
-                            self.mix.custom += cycles;
-                        }
-                        self.regs[rd.index()] = value;
-                    }
-                    CoprocResult::Interrupted { cycles } => {
-                        self.charge(cycles);
-                        if self.soft_depth == 0 {
-                            self.mix.custom += cycles;
-                        }
-                        // Do not advance PC: the instruction is reissued
-                        // after the interrupt, resuming via the
-                        // status-register mechanism (§4.4).
-                        return Some(Stop::Quantum);
-                    }
-                    CoprocResult::SoftwareDispatch { target, cycles } => {
-                        self.charge(cycles + cost::BRANCH_TAKEN);
-                        if self.soft_depth == 0 {
-                            // Entering a handler from user code: the
-                            // dispatching issue is soft-dispatch time.
-                            // (Nested dispatches are covered by the
-                            // `run` wrapper.)
-                            self.mix.soft_dispatch +=
-                                cost::PFU_ISSUE + cycles + cost::BRANCH_TAKEN;
-                        }
-                        self.soft_depth += 1;
-                        self.regs[14] = next_pc;
-                        next_pc = target;
-                    }
-                    CoprocResult::Fault => {
-                        return Some(Stop::CustomFault { cid, pc });
-                    }
+                match self.issue(coproc, cid, rd.index(), op_a, op_b, pc, until_cycle) {
+                    Ok(target) => next_pc = target,
+                    Err(stop) => return Some(stop),
                 }
             }
             Instr::Mcr { rfu, rs, .. } => {
@@ -514,8 +660,10 @@ fn arch_read(regs: &[u32; 16], pc: u32, i: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coproc::NullCoprocessor;
-    use proteus_isa::assemble;
+    use crate::coproc::{NullCoprocessor, OperandBlock, RetInfo};
+    use crate::lower::{lower, lower_general};
+    use proptest::prelude::*;
+    use proteus_isa::{assemble, OperandSel};
 
     fn run_asm(src: &str) -> (Cpu, Memory) {
         let p = assemble(src).unwrap_or_else(|e| panic!("{e}"));
@@ -683,6 +831,141 @@ mod tests {
         assert_eq!(cpu2.reg(0), 42);
         assert!(cpu2.cpsr().z);
         assert_eq!(cpu2.pc(), cpu.pc());
+    }
+
+    /// A coprocessor that replays one scripted issue outcome and keeps
+    /// every call's effect in comparable state.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Scripted {
+        result: CoprocResult,
+        ret: RetInfo,
+        regs: [u32; 16],
+        block: OperandBlock,
+        issues: Vec<(u32, u8, u32, u32, u8, u32, u64)>,
+    }
+
+    impl Coprocessor for Scripted {
+        fn exec_custom(&mut self, pid: u32, cid: u8, a: u32, b: u32, rd: u8, ret: u32, budget: u64)
+            -> CoprocResult {
+            self.issues.push((pid, cid, a, b, rd, ret, budget));
+            self.result
+        }
+
+        fn write_reg(&mut self, index: u8, value: u32) {
+            self.regs[usize::from(index & 0xF)] = value;
+        }
+
+        fn read_reg(&self, index: u8) -> u32 {
+            self.regs[usize::from(index & 0xF)]
+        }
+
+        fn read_operand(&self, sel: OperandSel) -> u32 {
+            self.block.field(sel.bits() as u8)
+        }
+
+        fn write_result(&mut self, value: u32) {
+            self.block.result = value;
+        }
+
+        fn return_from_software(&mut self) -> RetInfo {
+            self.ret
+        }
+
+        fn write_operand_field(&mut self, field: u8, value: u32) {
+            self.block.set_field(field, value);
+        }
+
+        fn read_operand_field(&self, field: u8) -> u32 {
+            self.block.field(field)
+        }
+    }
+
+    /// Words of every encoding class, half of them unconditional, with
+    /// one register field often forced to `r15` or the bits-19:16 field
+    /// aliased to bits 15:12 (`rd == rn` for transfers); plus arbitrary
+    /// words.
+    fn arb_word() -> impl Strategy<Value = u32> {
+        let cond = prop_oneof![Just(Cond::Al as u32), 0u32..15];
+        let pc_field = prop_oneof![
+            Just(0u32),
+            Just(0xF << 16),
+            Just(0xF << 12),
+            Just(0xF << 8),
+            Just(0xF << 7),
+            Just(0xF)
+        ];
+        let structured = (cond, 0u32..11, any::<u32>(), pc_field, any::<bool>()).prop_map(
+            |(cond, class, body, pc, alias)| {
+                let body = if alias { body & !(0xF << 16) | (body >> 12 & 0xF) << 16 } else { body };
+                cond << 28 | class << 24 | (body | pc) & 0xFF_FFFF
+            },
+        );
+        prop_oneof![structured, any::<u32>()]
+    }
+
+    /// Register values: word addresses inside the 256-byte test memory,
+    /// unaligned or straddling its end, or anything.
+    fn arb_value() -> impl Strategy<Value = u32> {
+        prop_oneof![(0u32..64).prop_map(|w| w * 4), 0u32..264, any::<u32>()]
+    }
+
+    fn arb_coproc() -> impl Strategy<Value = Scripted> {
+        let result = prop_oneof![
+            (any::<u32>(), 1u64..40).prop_map(|(value, cycles)| CoprocResult::Done { value, cycles }),
+            (1u64..40).prop_map(|cycles| CoprocResult::Interrupted { cycles }),
+            (arb_value(), 0u64..8)
+                .prop_map(|(target, cycles)| CoprocResult::SoftwareDispatch { target, cycles }),
+            Just(CoprocResult::Fault),
+        ];
+        let ret = (0u8..16, any::<u32>(), arb_value())
+            .prop_map(|(rd, result, ret_addr)| RetInfo { rd, result, ret_addr });
+        let regs = proptest::collection::vec(any::<u32>(), 16..17);
+        let fields = proptest::collection::vec(any::<u32>(), 5..6);
+        (result, ret, regs, fields).prop_map(|(result, ret, regs, fields)| {
+            let mut block = OperandBlock::default();
+            for (i, v) in fields.into_iter().enumerate() {
+                block.set_field(i as u8, v);
+            }
+            let regs = regs.try_into().expect("16 registers");
+            Scripted { result, ret, regs, block, issues: Vec::new() }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16384))]
+
+        /// The specialised micro-ops against the reference lane: the
+        /// same word from the same state, lowered by `lower` and by
+        /// `lower_general`, must leave identical registers, flags,
+        /// cycles, execution mix, memory, coprocessor and stop.
+        #[test]
+        fn lowered_ops_match_the_general_lane(
+            word in arb_word(),
+            regs in proptest::collection::vec(arb_value(), 16..17),
+            (nzcv, soft_depth, start, budget) in (0u32..16, 0u32..3, 0u64..1000, 0u64..64),
+            pc in prop_oneof![(0u32..64).prop_map(|w| w * 4), any::<u32>().prop_map(|a| a & !3)],
+            bytes in proptest::collection::vec(any::<u8>(), 256..257),
+            coproc in arb_coproc(),
+        ) {
+            let Ok(instr) = proteus_isa::decode(word) else {
+                return Ok(());
+            };
+            let regs = regs.try_into().expect("16 registers");
+            let mut ctx = Context { regs, cpsr: nzcv << 28, soft_depth };
+            ctx.regs[15] = pc;
+            let mut mem = Memory::new(256);
+            mem.write_bytes(0, &bytes).expect("fits");
+            let run = |op: Op| {
+                let mut cpu = Cpu::new();
+                cpu.restore_context(&ctx);
+                cpu.add_cycles(start);
+                let (mut mem, mut coproc) = (mem.clone(), coproc.clone());
+                let stop = cpu.exec(op, pc, &mut mem, &mut coproc, start + budget);
+                (stop, cpu.save_context(), cpu.cycles(), cpu.exec_mix(), mem, coproc)
+            };
+            let (lowered, general) = (run(lower(instr, pc)), run(lower_general(instr)));
+            prop_assert_eq!(lowered, general, "{:#010x} {}", word, instr);
+        }
     }
 
     #[test]

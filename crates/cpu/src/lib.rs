@@ -10,7 +10,10 @@
 //!   SWI, faults) so an external kernel model can drive scheduling;
 //! * [`memory::Memory`] — a flat byte-addressable memory (one per
 //!   process; the paper's workstation MMU is replaced by private address
-//!   spaces, see DESIGN.md);
+//!   spaces, see DESIGN.md) with a decode cache of lowered instructions;
+//! * `lower` (crate-private) — the lowering of decoded instructions to
+//!   the operand-resolved micro-ops that cache holds and the core
+//!   executes;
 //! * [`coproc::Coprocessor`] — the interface the reconfigurable function
 //!   unit plugs into, including interruptible multi-cycle custom
 //!   instructions (§4.4) and software-dispatch operand latching (§4.3).
@@ -38,6 +41,7 @@
 pub mod alu;
 pub mod coproc;
 pub mod cpu;
+mod lower;
 pub mod memory;
 
 pub use coproc::{CoprocResult, Coprocessor, NullCoprocessor, RetInfo};

@@ -7,11 +7,16 @@
 use std::error::Error;
 use std::fmt;
 
-use proteus_isa::{decode, Instr, Program};
+use proteus_isa::{decode, Program};
+
+use crate::lower::{lower, Op};
 
 /// Words of low memory covered by the instruction-decode cache (1 MiB of
 /// program text — guest code lives at low addresses by convention).
 const ICACHE_WORDS: usize = 1 << 18;
+
+// One cache entry per word of program text: keep it at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Option<Op>>() <= 16);
 
 /// Memory access failure. The CPU turns these into a data-abort stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +51,14 @@ impl Error for MemError {}
 /// A private, flat address space.
 ///
 /// Carries a decode cache over low memory so the interpreter does not
-/// re-decode hot loops on every iteration; any store into a cached word
-/// invalidates its entry (self-modifying code stays correct). Each entry
-/// holds the raw encoding alongside the decoded form so fetches never
-/// fabricate a word.
+/// re-decode hot loops on every iteration. Each entry holds the word's
+/// lowered micro-op (see the crate-private `lower` module); any store
+/// into a cached word invalidates its entry, so self-modifying code is
+/// re-lowered.
 #[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
-    icache: Vec<Option<(u32, Instr)>>,
+    icache: Vec<Option<Op>>,
 }
 
 impl PartialEq for Memory {
@@ -86,52 +91,45 @@ impl Memory {
         (self.bytes.len() / 4).min(ICACHE_WORDS)
     }
 
-    /// Fetch and decode the instruction at `addr`, consulting the decode
-    /// cache.
+    /// Fetch the instruction at `addr` through the decode cache: the
+    /// raw word, and its lowered form unless it does not decode.
+    ///
+    /// The miss path of the interpreter (see [`Memory::cached_op`]): a
+    /// decodable word in low memory is decoded and [`lower`]ed once and
+    /// cached until a store overwrites it.
     ///
     /// # Errors
     ///
-    /// Propagates the word read error; returns `Ok(None)` when the word
-    /// does not decode (undefined instruction).
-    #[inline]
-    pub fn fetch_instr(&mut self, addr: u32) -> Result<(u32, Option<Instr>), MemError> {
-        let idx = (addr / 4) as usize;
-        if addr.is_multiple_of(4) {
-            if let Some(Some((word, instr))) = self.icache.get(idx) {
-                return Ok((*word, Some(*instr)));
-            }
-        }
-        self.fetch_instr_slow(addr, idx)
-    }
-
-    /// Decode-cache miss path: read, decode, and (for decodable words in
-    /// low memory) populate the cache.
+    /// Propagates the word read error.
     #[cold]
-    fn fetch_instr_slow(&mut self, addr: u32, idx: usize) -> Result<(u32, Option<Instr>), MemError> {
+    pub(crate) fn fetch_op(&mut self, addr: u32) -> Result<(u32, Option<Op>), MemError> {
         let word = self.read_word(addr)?;
-        match decode(word) {
-            Ok(instr) => {
-                if idx < self.cache_limit() {
-                    if idx >= self.icache.len() {
-                        self.icache.resize(idx + 1, None);
-                    }
-                    self.icache[idx] = Some((word, instr));
-                }
-                Ok((word, Some(instr)))
-            }
-            Err(_) => Ok((word, None)),
+        if let Some(op) = self.cached_op(addr) {
+            return Ok((word, Some(op)));
         }
+        let Ok(instr) = decode(word) else {
+            return Ok((word, None));
+        };
+        let op = lower(instr, addr);
+        let idx = (addr / 4) as usize;
+        if idx < self.cache_limit() {
+            if idx >= self.icache.len() {
+                self.icache.resize(idx + 1, None);
+            }
+            self.icache[idx] = Some(op);
+        }
+        Ok((word, Some(op)))
     }
 
     /// Decode-cache lookup alone: the infallible fast lane the
     /// interpreter hot loop uses before falling back to
-    /// [`Memory::fetch_instr`]. Hits only on aligned, previously decoded
+    /// [`Memory::fetch_op`]. Hits only on aligned, previously lowered
     /// words, so callers can skip all error handling.
     #[inline(always)]
-    pub fn cached_instr(&self, addr: u32) -> Option<(u32, Instr)> {
+    pub(crate) fn cached_op(&self, addr: u32) -> Option<Op> {
         if addr.is_multiple_of(4) {
-            if let Some(&Some(entry)) = self.icache.get((addr / 4) as usize) {
-                return Some(entry);
+            if let Some(&Some(op)) = self.icache.get((addr / 4) as usize) {
+                return Some(op);
             }
         }
         None
@@ -283,16 +281,17 @@ mod tests {
         m.load_program(&p).expect("load");
         let word = m.read_word(0).expect("read");
         assert_ne!(word, 0);
-        let (miss_word, miss_instr) = m.fetch_instr(0).expect("miss fetch");
-        let (hit_word, hit_instr) = m.fetch_instr(0).expect("hit fetch");
+        assert_eq!(m.cached_op(0), None, "lowering is lazy");
+        let (miss_word, miss_op) = m.fetch_op(0).expect("miss fetch");
+        let (hit_word, hit_op) = m.fetch_op(0).expect("hit fetch");
         assert_eq!(miss_word, word);
         assert_eq!(hit_word, word, "cache hit must report the true encoding");
-        assert_eq!(miss_instr, hit_instr);
-        assert_eq!(m.cached_instr(0), Some((word, miss_instr.expect("decodes"))));
+        assert_eq!(miss_op, hit_op);
+        assert_eq!(m.cached_op(0), Some(miss_op.expect("decodes")));
         // Stores invalidate; unaligned and uncached addresses miss.
         m.write_word(0, word).expect("write");
-        assert_eq!(m.cached_instr(0), None);
-        assert_eq!(m.cached_instr(2), None);
+        assert_eq!(m.cached_op(0), None);
+        assert_eq!(m.cached_op(2), None);
     }
 
     #[test]

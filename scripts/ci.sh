@@ -54,6 +54,18 @@ diff scripts/golden/dynamic_load_quick.csv "$serial_dir/dynamic_load.csv"
 diff scripts/golden/breakdown_dynamic_load_quick.csv "$serial_dir/breakdown_dynamic_load.csv"
 echo "dynamic load deterministic and matches the goldens"
 
+echo "== quick-scale goldens (every figure and breakdown CSV) =="
+# Every experiment is deterministic, so each CSV a quick-scale `all` run
+# writes must have a committed golden and reproduce it bit-for-bit.
+golden_dir=target/ci-repro/golden
+rm -rf "$golden_dir"
+cargo run --release -p proteus-bench --bin repro -- \
+    --quick --jobs 1 --out "$golden_dir" all >/dev/null
+for csv in "$golden_dir"/*.csv; do
+    diff "scripts/golden/$(basename "$csv" .csv)_quick.csv" "$csv"
+done
+echo "all quick-scale CSVs match their goldens"
+
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
     --quick --jobs 1 --out "$serial_dir" --flame fig3 >/dev/null
