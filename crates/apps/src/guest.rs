@@ -340,8 +340,7 @@ pub fn twofish_test_blocks(nblocks: usize, seed: u32) -> Vec<u32> {
     alpha::test_pixels(nblocks * 4, seed ^ 0x7F4A_7C15)
 }
 
-fn twofish_data_sections(key: &[u8; 16], input: &[u32]) -> (String, Twofish) {
-    let tf = Twofish::new(key);
+fn twofish_data_sections(tf: &Twofish, input: &[u32]) -> String {
     let ks = tf.key_schedule();
     let mut source = String::from(".org 0\n");
     words_directive(&mut source, "input", input);
@@ -349,15 +348,10 @@ fn twofish_data_sections(key: &[u8; 16], input: &[u32]) -> (String, Twofish) {
     words_directive(&mut source, "keys", &ks.k);
     // Layout [byte][lane] so a single `add t, base, b, lsl #4` plus
     // small immediate offsets reaches all four lanes.
-    let t = ks.g_tables();
-    let mut inter = Vec::with_capacity(256 * 4);
-    for b in 0..256 {
-        for lane in 0..4 {
-            inter.push(t[lane][b]);
-        }
-    }
+    let t = tf.g_tables();
+    let inter: Vec<u32> = (0..256).flat_map(|b| t.iter().map(move |lane| lane[b])).collect();
     words_directive(&mut source, "gtab", &inter);
-    (source, tf)
+    source
 }
 
 /// Emit an inline g-function lookup: 17 instructions using `lr` as the
@@ -598,29 +592,32 @@ fn twofish_expected(tf: &Twofish, input: &[u32]) -> u32 {
 /// through the five-invocation phase protocol. The interleaved g tables
 /// are embedded for the registered software alternative (`sw_tf`),
 /// which replicates the phase machine with its state in process memory.
-pub fn twofish_accelerated(nblocks: usize, passes: u32, key: &[u8; 16], seed: u32) -> BuiltProgram {
+/// `tf` is the keyed cipher the circuit bakes in (its subkeys and g
+/// tables are embedded, and it computes the expected checksum).
+pub fn twofish_accelerated(nblocks: usize, passes: u32, tf: &Twofish, seed: u32) -> BuiltProgram {
     let input = twofish_test_blocks(nblocks, seed);
-    let (mut source, tf) = twofish_data_sections(key, &input);
+    let mut source = twofish_data_sections(tf, &input);
     source.push_str("passctr:\n    .word 0\ntfphase:\n    .word 0\ntfw:\n    .space 16\ntfct:\n    .space 16\n");
     source.push_str(&twofish_accelerated_loop(nblocks, passes));
     source.push_str(&checksum_epilogue("output", nblocks * 4));
     source.push_str(&twofish_sw_alternative());
     BuiltProgram {
         program: assemble(&source).expect("twofish_accelerated assembles"),
-        expected_checksum: twofish_expected(&tf, &input),
+        expected_checksum: twofish_expected(tf, &input),
     }
 }
 
-/// Build the pure-software Twofish program (table-driven rounds inline).
-pub fn twofish_software(nblocks: usize, passes: u32, key: &[u8; 16], seed: u32) -> BuiltProgram {
+/// Build the pure-software Twofish program (table-driven rounds inline)
+/// for the keyed cipher `tf`.
+pub fn twofish_software(nblocks: usize, passes: u32, tf: &Twofish, seed: u32) -> BuiltProgram {
     let input = twofish_test_blocks(nblocks, seed);
-    let (mut source, tf) = twofish_data_sections(key, &input);
+    let mut source = twofish_data_sections(tf, &input);
     source.push_str("passctr:\n    .word 0\n");
     source.push_str(&twofish_software_loop(nblocks, passes));
     source.push_str(&checksum_epilogue("output", nblocks * 4));
     BuiltProgram {
         program: assemble(&source).expect("twofish_software assembles"),
-        expected_checksum: twofish_expected(&tf, &input),
+        expected_checksum: twofish_expected(tf, &input),
     }
 }
 
@@ -708,9 +705,9 @@ mod tests {
 
     #[test]
     fn twofish_accelerated_checksum_matches() {
-        let key = *b"proteus-arm-key!";
-        let built = twofish_accelerated(4, 2, &key, 77);
-        let circuit = Box::new(crate::twofish::BlockCircuit::new(&key));
+        let tf = Twofish::new(b"proteus-arm-key!");
+        let built = twofish_accelerated(4, 2, &tf, 77);
+        let circuit = Box::new(crate::twofish::BlockCircuit::from(tf));
         let (code, _) = run_one(
             &built,
             vec![CircuitSpec { cid: 0, circuit, software_alt: built.program.symbol("sw_tf"), image: None }],
@@ -724,8 +721,8 @@ mod tests {
         // decoy, SoftwareFallback mode: every invocation goes through
         // sw_tf's in-memory phase machine.
         use porsche::cis::DispatchMode;
-        let key = *b"proteus-arm-key!";
-        let built = twofish_accelerated(3, 2, &key, 42);
+        let tf = Twofish::new(b"proteus-arm-key!");
+        let built = twofish_accelerated(3, 2, &tf, 42);
         let entry = built.program.symbol("start").expect("start");
         let mut kernel = Kernel::new(KernelConfig {
             mode: DispatchMode::SoftwareFallback,
@@ -751,7 +748,7 @@ mod tests {
                     .mem_size(1 << 20)
                     .circuit(CircuitSpec {
                         cid: 0,
-                        circuit: Box::new(crate::twofish::BlockCircuit::new(&key)),
+                        circuit: Box::new(crate::twofish::BlockCircuit::from(tf)),
                         software_alt: built.program.symbol("sw_tf"), image: None }),
             )
             .expect("spawn twofish");
@@ -766,8 +763,7 @@ mod tests {
 
     #[test]
     fn twofish_software_checksum_matches() {
-        let key = *b"proteus-arm-key!";
-        let built = twofish_software(4, 1, &key, 77);
+        let built = twofish_software(4, 1, &Twofish::new(b"proteus-arm-key!"), 77);
         let (code, _) = run_one(&built, vec![]);
         assert_eq!(code, built.expected_checksum);
     }

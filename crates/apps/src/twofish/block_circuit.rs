@@ -39,14 +39,7 @@ pub struct BlockCircuit {
 impl BlockCircuit {
     /// A circuit with `key` baked into its configuration.
     pub fn new(key: &[u8; 16]) -> Self {
-        Self {
-            tf: Twofish::new(key),
-            phase: 0,
-            elapsed: 0,
-            latched: (0, 0),
-            w: [0; 4],
-            ct: [0; 4],
-        }
+        Twofish::new(key).into()
     }
 
     fn latency(&self) -> u32 {
@@ -87,6 +80,13 @@ impl BlockCircuit {
         };
         self.phase = next_phase;
         result
+    }
+}
+
+impl From<Twofish> for BlockCircuit {
+    /// A circuit baking in an already expanded key.
+    fn from(tf: Twofish) -> Self {
+        Self { tf, phase: 0, elapsed: 0, latched: (0, 0), w: [0; 4], ct: [0; 4] }
     }
 }
 

@@ -36,6 +36,12 @@ impl Twofish {
         &self.ks
     }
 
+    /// The "full keying" g tables this instance expanded (the guest
+    /// program embeds them for its software alternative).
+    pub fn g_tables(&self) -> &[[u32; 256]; 4] {
+        &self.gtab
+    }
+
     fn load(block: &[u8; 16]) -> [u32; 4] {
         let mut w = [0u32; 4];
         for (i, c) in block.chunks_exact(4).enumerate() {

@@ -7,7 +7,7 @@ use crate::guest::{
     alpha_accelerated, alpha_software, echo_accelerated, echo_software, twofish_accelerated,
     twofish_software, BuiltProgram,
 };
-use crate::twofish::BlockCircuit;
+use crate::twofish::{BlockCircuit, Twofish};
 use crate::{alpha, echo};
 
 /// The key every Twofish workload instance uses (the circuit is
@@ -96,11 +96,15 @@ impl WorkloadConfig {
 pub struct WorkloadSpec {
     config: WorkloadConfig,
     built: BuiltProgram,
+    /// The keyed Twofish circuit every accelerated instance clones, so
+    /// the key is expanded once per spec rather than once per spawn.
+    twofish: Option<BlockCircuit>,
 }
 
 impl WorkloadSpec {
     /// Assemble the guest program and compute the ground truth.
     pub fn build(config: WorkloadConfig) -> Self {
+        let mut twofish = None;
         let built = match (config.kind, config.accelerated) {
             (AppKind::Alpha, true) => alpha_accelerated(config.size, config.passes, config.seed),
             (AppKind::Alpha, false) => alpha_software(config.size, config.passes, config.seed),
@@ -110,14 +114,19 @@ impl WorkloadSpec {
             (AppKind::Echo, false) => {
                 echo_software(config.size, config.passes, config.size / 8 + 1, 0x80, config.seed)
             }
+            // One key expansion per spec: the guest's data, its checksum
+            // and every instance's circuit share the keyed cipher.
             (AppKind::Twofish, true) => {
-                twofish_accelerated(config.size, config.passes, &TWOFISH_KEY, config.seed)
+                let tf = Twofish::new(&TWOFISH_KEY);
+                let built = twofish_accelerated(config.size, config.passes, &tf, config.seed);
+                twofish = Some(BlockCircuit::from(tf));
+                built
             }
             (AppKind::Twofish, false) => {
-                twofish_software(config.size, config.passes, &TWOFISH_KEY, config.seed)
+                twofish_software(config.size, config.passes, &Twofish::new(&TWOFISH_KEY), config.seed)
             }
         };
-        Self { config, built }
+        Self { config, built, twofish }
     }
 
     /// The build parameters.
@@ -170,7 +179,7 @@ impl WorkloadSpec {
             ],
             AppKind::Twofish => vec![CircuitSpec {
                 cid: 0,
-                circuit: Box::new(BlockCircuit::new(&TWOFISH_KEY)),
+                circuit: Box::new(self.twofish.clone().expect("accelerated twofish holds its circuit")),
                 software_alt: with_software_alt.then(|| sym("sw_tf")).flatten(),
                 // Key-specialised bitstream: shareable only among users
                 // of the same key, which all workload instances are.
@@ -192,6 +201,8 @@ impl WorkloadSpec {
 
 #[cfg(test)]
 mod tests {
+    use proteus_rfu::circuit::PfuCircuit;
+
     use super::*;
 
     #[test]
@@ -207,6 +218,24 @@ mod tests {
                 assert_eq!(spec.circuits(true).len(), expected_circuits, "{kind:?}");
                 let _ = spec.spawn_spec(true);
             }
+        }
+    }
+
+    #[test]
+    fn cloned_twofish_circuit_encrypts_like_a_fresh_one() {
+        let spec = WorkloadSpec::build(WorkloadConfig::new(AppKind::Twofish, 1, 1));
+        let block = [0x0123_4567, 0x89AB_CDEF, 0xFEDC_BA98, 0x7654_3210];
+        let encrypt = |c: &mut dyn PfuCircuit| {
+            let mut out = vec![c.run_clocks(block[0], block[1], true, 64)];
+            out.push(c.run_clocks(block[2], block[3], true, 64));
+            out.extend((0..3).map(|_| c.run_clocks(0, 0, true, 64)));
+            out
+        };
+        let want = encrypt(&mut BlockCircuit::new(&TWOFISH_KEY));
+        // Two instances in turn: running one leaves the spec's copy pristine.
+        for _ in 0..2 {
+            let mut circuits = spec.circuits(false);
+            assert_eq!(encrypt(circuits[0].circuit.as_mut()), want);
         }
     }
 

@@ -8,9 +8,10 @@
 //! * [`cpu::Cpu`] — registers, CPSR, the fetch/decode/execute loop with
 //!   ARM7-class cycle costs, and precise stop reasons (quantum expiry,
 //!   SWI, faults) so an external kernel model can drive scheduling;
-//! * [`memory::Memory`] — a flat byte-addressable memory (one per
-//!   process; the paper's workstation MMU is replaced by private address
-//!   spaces, see DESIGN.md) with a decode cache of lowered instructions;
+//! * [`memory::Memory`] — a demand-zero paged byte-addressable memory
+//!   (one per process; the paper's workstation MMU is replaced by private
+//!   address spaces, see DESIGN.md) with a decode cache of lowered
+//!   instructions;
 //! * `lower` (crate-private) — the lowering of decoded instructions to
 //!   the operand-resolved micro-ops that cache holds and the core
 //!   executes;

@@ -84,13 +84,14 @@ echo "folded profile byte-identical across job counts and matches the golden"
 
 echo "== benchmark correctness gate (perfbench, makespan golden diff) =="
 # Every benchmark workload must pass perfbench's own gate (checksums,
-# conservation, no kills); the traced thrash run adds the probe replay
-# and the traced-vs-untraced fingerprints. Simulated makespans are
-# deterministic, so the untraced runs must reproduce the golden exactly.
+# conservation, no kills); the traced thrash and fig3_sweep runs add the
+# probe replay and the traced-vs-untraced fingerprints. Simulated
+# makespans are deterministic, so the untraced runs must reproduce the
+# golden exactly.
 mkdir -p target/ci-repro
 makespans=target/ci-repro/perfbench_makespan.txt
 : >"$makespans"
-for run in "resident 0" "thrash 0" "fig3_sweep 0" "thrash 1"; do
+for run in "resident 0" "thrash 0" "fig3_sweep 0" "thrash 1" "fig3_sweep 1"; do
     read -r workload trace <<<"$run"
     log="target/ci-repro/perfbench_${workload}_trace$trace.log"
     last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
