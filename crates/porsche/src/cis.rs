@@ -15,6 +15,7 @@ use proteus_rfu::{Cam, FaultInfo, PfuIndex, Rfu, TupleKey};
 
 use crate::costs::CostModel;
 use crate::fault::{FaultUnit, RecoveryPolicy};
+use crate::kernel::KernelConfig;
 use crate::policy::{PolicyView, ReplacementPolicy};
 use crate::probe::{Callsite, Event, PfuFaultKind, Probe, Tag};
 use crate::process::{Pid, Process, Registered};
@@ -48,6 +49,31 @@ pub enum FaultResolution {
     Kill,
 }
 
+/// Everything a CIS call touches besides the scheduler's own
+/// bookkeeping, borrowed from the kernel for the duration of one call.
+#[derive(Debug)]
+pub struct CisCtx<'a> {
+    /// The reconfigurable function unit.
+    pub rfu: &'a mut Rfu,
+    /// The process table (registration records live here).
+    pub procs: &'a mut BTreeMap<Pid, Process>,
+    /// The fault injector, when a fault plan is active.
+    pub faults: Option<&'a mut FaultUnit>,
+    /// Management cycle costs.
+    pub costs: &'a CostModel,
+    /// The instrumentation bus every action emits on.
+    pub probe: &'a mut Probe,
+    /// The simulated cycle events are stamped at.
+    pub at: u64,
+}
+
+impl CisCtx<'_> {
+    /// Emit `event` at the current stamp.
+    fn emit(&mut self, tag: Tag, event: Event) {
+        self.probe.emit(self.at, tag, event);
+    }
+}
+
 /// `key`'s registration record, if the process and CID both exist.
 fn registration(procs: &BTreeMap<Pid, Process>, key: TupleKey) -> Option<&Registered> {
     procs.get(&key.pid)?.circuits.get(&key.cid)
@@ -58,11 +84,14 @@ fn registration_mut(procs: &mut BTreeMap<Pid, Process>, key: TupleKey) -> Option
     procs.get_mut(&key.pid)?.circuits.get_mut(&key.cid)
 }
 
-/// CIS bookkeeping: who owns each PFU, load/use recency, TLB cursor.
+/// CIS state: its victim and recovery policies, who owns each PFU,
+/// load/use recency, TLB cursor.
 #[derive(Debug)]
 pub struct Cis {
     mode: DispatchMode,
     share_circuits: bool,
+    policy: Box<dyn ReplacementPolicy>,
+    recovery: RecoveryPolicy,
     pfu_owner: Vec<Option<TupleKey>>,
     pfu_image: Vec<Option<u64>>,
     load_seq: Vec<u64>,
@@ -72,19 +101,18 @@ pub struct Cis {
 }
 
 impl Cis {
-    /// CIS for an RFU with `pfus` units.
-    pub fn new(pfus: usize, mode: DispatchMode) -> Self {
-        Self::with_sharing(pfus, mode, false)
-    }
-
-    /// CIS with circuit sharing (§4.2) enabled or disabled. The paper's
-    /// experiments disable sharing to study overload; "in the final
-    /// system applications using the same circuits would attempt to
-    /// share instances, just changing the state in a single PFU".
-    pub fn with_sharing(pfus: usize, mode: DispatchMode, share_circuits: bool) -> Self {
+    /// CIS for an RFU with `pfus` units, with `config`'s dispatch mode,
+    /// replacement policy, recovery policy and circuit sharing (§4.2).
+    /// The paper's experiments disable sharing to study overload; "in
+    /// the final system applications using the same circuits would
+    /// attempt to share instances, just changing the state in a single
+    /// PFU".
+    pub fn new(pfus: usize, config: &KernelConfig) -> Self {
         Self {
-            mode,
-            share_circuits,
+            mode: config.mode,
+            share_circuits: config.share_circuits,
+            policy: config.policy.build(),
+            recovery: config.recovery,
             pfu_owner: vec![None; pfus],
             pfu_image: vec![None; pfus],
             load_seq: vec![0; pfus],
@@ -94,14 +122,14 @@ impl Cis {
         }
     }
 
-    /// The contention-resolution mode.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
-    }
-
-    /// Which tuple owns each PFU.
-    pub fn pfu_owners(&self) -> &[Option<TupleKey>] {
-        &self.pfu_owner
+    /// Whether `pfu` may be reconfigured in place once more: its
+    /// reconfiguration allowance (`retries`, reset on every completion)
+    /// is not yet spent. Rung 0's repair and the scrubber's repairs both
+    /// ask this — under upsets denser than the reload time, an
+    /// unconditional repair loops without ever recording a strike, and an
+    /// unconditional scrubber starves execution outright.
+    fn within_allowance(&self, pfu: PfuIndex, rfu: &Rfu) -> bool {
+        rfu.pfus().health(pfu).retries <= self.recovery.max_retries
     }
 
     /// Pull fresh completion counts out of the hardware and update the
@@ -137,46 +165,30 @@ impl Cis {
     /// Program an entry in TLB2 (`soft`) or the hardware TLB and emit
     /// the [`Event::TlbProgram`] — attributed to `tag`'s callsite, since
     /// TLB programming happens on behalf of whichever path asked for it.
-    #[allow(clippy::too_many_arguments)]
-    fn tlb_insert(
-        &mut self,
-        rfu: &mut Rfu,
-        key: TupleKey,
-        value: u32,
-        soft: bool,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-        tag: Tag,
-    ) {
-        let cam = if soft { rfu.tlb_sw_mut() } else { rfu.tlb_hw_mut() };
+    fn tlb_insert(&mut self, key: TupleKey, value: u32, soft: bool, tag: Tag, cx: &mut CisCtx) {
+        let cam = if soft { cx.rfu.tlb_sw_mut() } else { cx.rfu.tlb_hw_mut() };
         let (slot, evicted) = self.tlb_slot(cam);
         cam.insert(slot, key, value);
-        probe.emit(at, tag, Event::TlbProgram { key, soft, evicted, cost: costs.tlb_program });
+        cx.emit(tag, Event::TlbProgram { key, soft, evicted, cost: cx.costs.tlb_program });
     }
 
     /// Take the circuit out of `pfu` and return it, with its state, to
     /// its owner's registration record; the slot's hardware TLB entries
     /// go with it. Returns the owner, or `None` if the slot held nothing.
-    fn detach(
-        &mut self,
-        pfu: PfuIndex,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-    ) -> Option<TupleKey> {
+    fn detach(&mut self, pfu: PfuIndex, cx: &mut CisCtx) -> Option<TupleKey> {
         let owner = self.pfu_owner[pfu].take()?;
         self.pfu_image[pfu] = None;
-        let dropped = rfu.tlb_hw_mut().invalidate_value(pfu as u32);
-        debug_assert!(dropped <= rfu.tlb_hw().capacity());
+        let dropped = cx.rfu.tlb_hw_mut().invalidate_value(pfu as u32);
+        debug_assert!(dropped <= cx.rfu.tlb_hw().capacity());
         // A faulty slot's status bit is untrustworthy: burned issues
         // drive it low without ever latching operands into the circuit,
         // so saving the 0 would make the next home "resume" an
         // instruction that never started — with stale operands. Saving
         // 1 restarts it instead, which is always sound: circuit state
         // only mutates on completion (DESIGN.md §9).
-        let faulty = rfu.pfus().health(pfu).is_faulty();
-        let (circuit, status) = rfu.pfus_mut().unload(pfu)?;
-        if let Some(reg) = registration_mut(procs, owner) {
+        let faulty = cx.rfu.pfus().health(pfu).is_faulty();
+        let (circuit, status) = cx.rfu.pfus_mut().unload(pfu)?;
+        if let Some(reg) = registration_mut(cx.procs, owner) {
             reg.instance = Some(circuit);
             reg.status = status || faulty;
             reg.loaded_at = None;
@@ -188,38 +200,22 @@ impl Cis {
     /// the A4 ablation, the full configuration) back over the bus. `tag`
     /// attributes the work to whoever forced the unload (the placement
     /// requester or the recovery ladder), not the evicted owner.
-    #[allow(clippy::too_many_arguments)]
-    fn unload(
-        &mut self,
-        pfu: PfuIndex,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-        tag: Tag,
-    ) {
-        let Some(owner) = self.detach(pfu, rfu, procs) else { return };
-        probe.emit(at, tag, Event::Eviction { key: owner, pfu });
-        if let Some(reg) = registration(procs, owner) {
+    fn unload(&mut self, pfu: PfuIndex, tag: Tag, cx: &mut CisCtx) {
+        let Some(owner) = self.detach(pfu, cx) else { return };
+        cx.emit(tag, Event::Eviction { key: owner, pfu });
+        if let Some(reg) = registration(cx.procs, owner) {
             let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
-            let words = costs.unload_words(static_bytes, state_words);
-            let cost = costs.unload_cycles(static_bytes, state_words);
-            probe.emit(at, tag, Event::BusTransfer { words, cost });
+            let words = cx.costs.unload_words(static_bytes, state_words);
+            let cost = cx.costs.unload_cycles(static_bytes, state_words);
+            cx.emit(tag, Event::BusTransfer { words, cost });
         }
     }
 
     /// Move `key`'s home instance into the empty slot `pfu`, restoring
     /// its saved status bit, and record the new owner. `false` only on a
     /// registry bug (the registration or its instance vanished).
-    fn install(
-        &mut self,
-        key: TupleKey,
-        pfu: PfuIndex,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-    ) -> bool {
-        let Some(reg) = registration_mut(procs, key) else {
+    fn install(&mut self, key: TupleKey, pfu: PfuIndex, cx: &mut CisCtx) -> bool {
+        let Some(reg) = registration_mut(cx.procs, key) else {
             debug_assert!(false, "registration vanished mid-handler");
             return false;
         };
@@ -227,9 +223,9 @@ impl Cis {
             debug_assert!(false, "unloaded tuple without a home instance");
             return false;
         };
-        let evicted = rfu.pfus_mut().load(pfu, circuit);
+        let evicted = cx.rfu.pfus_mut().load(pfu, circuit);
         debug_assert!(evicted.is_none(), "target PFU was freed");
-        rfu.pfus_mut().set_status(pfu, reg.status);
+        cx.rfu.pfus_mut().set_status(pfu, reg.status);
         reg.loaded_at = Some(pfu);
         self.seq += 1;
         self.last_use_seq[pfu] = self.seq;
@@ -240,50 +236,36 @@ impl Cis {
 
     /// The custom-instruction fault handler (Figure 1's "Fault" leg).
     ///
-    /// Every action emits its [`Event`] on `probe` at cycle `at`; the
-    /// simulated clock does not advance while the handler runs. The
-    /// costed events are the only record of the handler's work: the
-    /// kernel charges exactly what they add to the probe's ledger.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_fault(
-        &mut self,
-        key: TupleKey,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
-        faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-    ) -> FaultResolution {
+    /// Every action emits its [`Event`] at `cx.at`; the simulated clock
+    /// does not advance while the handler runs. The costed events are
+    /// the only record of the handler's work: the kernel charges exactly
+    /// what they add to the probe's ledger.
+    pub fn handle_fault(&mut self, key: TupleKey, cx: &mut CisCtx) -> FaultResolution {
         let miss = Tag::new(key.pid, Callsite::TlbMiss);
-        probe.emit(at, miss, Event::Fault { key, cost: costs.fault_entry });
+        cx.emit(miss, Event::Fault { key, cost: cx.costs.fault_entry });
 
-        match rfu.take_fault() {
+        match cx.rfu.take_fault() {
             // Runaway circuits are fatal (the OS's timeliness
             // guarantee, §2).
             Some(FaultInfo::Runaway { .. }) => return FaultResolution::Kill,
             // The per-PFU watchdog tripped: enter the recovery ladder
             // (DESIGN.md §9) instead of the placement path.
             Some(FaultInfo::Watchdog { pfu, burned, .. }) => {
-                return self.recover_pfu_fault(
-                    key, pfu, burned, rfu, procs, policy, recovery, faults, costs, probe, at,
-                );
+                return self.recover_pfu_fault(key, pfu, burned, cx);
             }
             _ => {}
         }
 
         // "terminate the process if the mapping request was illegal".
-        let Some(reg) = registration(procs, key) else {
+        let Some(reg) = registration(cx.procs, key) else {
             return FaultResolution::Kill;
         };
 
         // §4.2: check for a plain mapping fault first — the circuit is
         // resident but its TLB entry was pushed out.
         if let Some(pfu) = reg.loaded_at {
-            probe.emit(at, miss, Event::MappingRepair { key });
-            self.tlb_insert(rfu, key, pfu as u32, false, costs, probe, at, miss);
+            cx.emit(miss, Event::MappingRepair { key });
+            self.tlb_insert(key, pfu as u32, false, miss, cx);
             return FaultResolution::Reissue;
         }
 
@@ -298,8 +280,8 @@ impl Cis {
             let Some(addr) = reg.software_alt else {
                 return FaultResolution::Kill;
             };
-            probe.emit(at, miss, Event::MappingRepair { key });
-            self.tlb_insert(rfu, key, addr, true, costs, probe, at, miss);
+            cx.emit(miss, Event::MappingRepair { key });
+            self.tlb_insert(key, addr, true, miss, cx);
             return FaultResolution::Reissue;
         }
 
@@ -309,7 +291,7 @@ impl Cis {
         // = free and not quarantined; identical to the free list when
         // no fault plan is active.)
         let (state_words, image) = (reg.state_words, reg.image);
-        if self.share_circuits && rfu.pfus().available_pfus().is_empty() {
+        if self.share_circuits && cx.rfu.pfus().available_pfus().is_empty() {
             if let Some(pfu) =
                 image.and_then(|img| self.pfu_image.iter().position(|&i| i == Some(img)))
             {
@@ -317,40 +299,28 @@ impl Cis {
                 // owner's registry and install the faulting process's:
                 // the static configuration is identical, so only the
                 // state frames move over the bus.
-                self.detach(pfu, rfu, procs);
-                if !self.install(key, pfu, rfu, procs) {
+                self.detach(pfu, cx);
+                if !self.install(key, pfu, cx) {
                     return FaultResolution::Kill;
                 }
                 let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
-                probe.emit(at, reconf, Event::StateSwap { key, pfu });
-                let cost = costs.state_swap_cycles(state_words);
-                probe.emit(at, reconf, Event::BusTransfer { words: 2 * state_words as u64, cost });
-                self.tlb_insert(rfu, key, pfu as u32, false, costs, probe, at, reconf);
+                cx.emit(reconf, Event::StateSwap { key, pfu });
+                let cost = cx.costs.state_swap_cycles(state_words);
+                cx.emit(reconf, Event::BusTransfer { words: 2 * state_words as u64, cost });
+                self.tlb_insert(key, pfu as u32, false, reconf, cx);
                 return FaultResolution::Reissue;
             }
         }
 
-        self.place_and_load(key, rfu, procs, policy, recovery, faults, costs, probe, at)
+        self.place_and_load(key, cx)
     }
 
     /// Find a home for `key`'s circuit — an allocatable PFU, the
     /// software alternative, or a victim's slot — and drive the full
     /// configuration across the bus, verifying the transfer when the
     /// fault plan models transit corruption.
-    #[allow(clippy::too_many_arguments)]
-    fn place_and_load(
-        &mut self,
-        key: TupleKey,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
-        faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-    ) -> FaultResolution {
-        let Some(reg) = registration(procs, key) else {
+    fn place_and_load(&mut self, key: TupleKey, cx: &mut CisCtx) -> FaultResolution {
+        let Some(reg) = registration(cx.procs, key) else {
             debug_assert!(false, "placement for an unregistered tuple");
             return FaultResolution::Kill;
         };
@@ -360,7 +330,7 @@ impl Cis {
 
         // Find a home: an allocatable PFU, the software alternative, or
         // a victim.
-        let target = match rfu.pfus().available_pfus().first().copied() {
+        let target = match cx.rfu.pfus().available_pfus().first().copied() {
             Some(free) => free,
             None => {
                 // With every slot quarantined there is nothing to
@@ -369,9 +339,9 @@ impl Cis {
                 if self.mode == DispatchMode::SoftwareFallback || no_victims {
                     if let Some(addr) = software_alt {
                         let sw = Tag::new(key.pid, Callsite::SwDispatch);
-                        probe.emit(at, sw, Event::SoftwareInstall { key });
-                        self.tlb_insert(rfu, key, addr, true, costs, probe, at, sw);
-                        if let Some(reg) = registration_mut(procs, key) {
+                        cx.emit(sw, Event::SoftwareInstall { key });
+                        self.tlb_insert(key, addr, true, sw, cx);
+                        if let Some(reg) = registration_mut(cx.procs, key) {
                             reg.soft_active = true;
                         }
                         return FaultResolution::Reissue;
@@ -380,8 +350,8 @@ impl Cis {
                 if no_victims {
                     return FaultResolution::Kill;
                 }
-                let counts = self.refresh_usage(rfu);
-                let victim = policy.select_victim(&PolicyView {
+                let counts = self.refresh_usage(cx.rfu);
+                let victim = self.policy.select_victim(&PolicyView {
                     occupied: &self.pfu_owner,
                     completions: &counts,
                     last_use_seq: &self.last_use_seq,
@@ -389,87 +359,74 @@ impl Cis {
                     current_pid: key.pid,
                 });
                 assert!(victim < self.pfu_owner.len(), "policy returned bad PFU {victim}");
-                self.unload(victim, rfu, procs, costs, probe, at, reconf);
+                self.unload(victim, reconf, cx);
                 victim
             }
         };
 
         // Full configuration load: static frames + state frames (§4.1).
-        if !self.install(key, target, rfu, procs) {
+        if !self.install(key, target, cx) {
             return FaultResolution::Kill;
         }
         self.load_seq[target] = self.seq;
-        probe.emit(at, reconf, Event::ConfigLoad { key, pfu: target });
+        cx.emit(reconf, Event::ConfigLoad { key, pfu: target });
         let words = CostModel::full_words(static_bytes, state_words);
-        let cost = costs.full_load_cycles(static_bytes, state_words);
-        probe.emit(at, reconf, Event::BusTransfer { words, cost });
+        let cost = cx.costs.full_load_cycles(static_bytes, state_words);
+        cx.emit(reconf, Event::BusTransfer { words, cost });
 
         // Transit verification (DESIGN.md §9): when transfers can
         // corrupt, every load is CRC-checked on arrival and re-driven
         // (bounded) until it verifies. A transfer still corrupt after
         // the retry budget stays in place flagged corrupt — the
         // watchdog path repairs it on first use.
-        if let Some(fu) = faults.filter(|fu| fu.transit_active()) {
+        if let Some(fu) = cx.faults.as_deref_mut().filter(|fu| fu.transit_active()) {
             let rungs = Tag::new(key.pid, Callsite::FaultRungs);
             let mut corrupt = fu.transit_corrupts();
-            let check = |corrupt| Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check };
-            probe.emit(at, rungs, check(corrupt));
+            let crc_check = cx.costs.crc_check;
+            let check = |corrupt| Event::ScrubCheck { pfu: target, corrupt, cost: crc_check };
+            cx.probe.emit(cx.at, rungs, check(corrupt));
             let mut attempt = 0u32;
-            while corrupt && attempt < recovery.max_retries {
+            while corrupt && attempt < self.recovery.max_retries {
                 attempt += 1;
-                let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-                probe.emit(
-                    at,
+                let cost = cx.costs.retry_load_cycles(static_bytes, state_words, attempt);
+                cx.probe.emit(
+                    cx.at,
                     rungs,
                     Event::RecoveryRetry { key, pfu: target, attempt, words, cost },
                 );
                 corrupt = fu.transit_corrupts();
-                probe.emit(at, rungs, check(corrupt));
+                cx.probe.emit(cx.at, rungs, check(corrupt));
             }
             if corrupt {
-                rfu.pfus_mut().health_mut(target).config_corrupt = true;
+                cx.rfu.pfus_mut().health_mut(target).config_corrupt = true;
             }
         }
 
-        self.tlb_insert(rfu, key, target as u32, false, costs, probe, at, reconf);
+        self.tlb_insert(key, target as u32, false, reconf, cx);
         FaultResolution::Reissue
     }
 
     /// Re-drive `key`'s full configuration into the slot it already
     /// occupies — the fault handler's repair and retry rungs and the
-    /// kernel's scrub repairs all reconfigure this way. Fresh static
-    /// frames clear any corruption, and the status-register reset
-    /// restarts the interrupted instruction cleanly: a faulty slot never
-    /// clocked it, so no progress is lost. Each re-drive spends one of
-    /// the slot's reconfiguration allowance (`retries`) and emits one
-    /// [`Event::RecoveryRetry`] at `at`, attributed to `callsite`.
-    /// Returns `false` if the registration or the slot was unexpectedly
-    /// empty.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn redrive(
-        key: TupleKey,
-        pfu: PfuIndex,
-        procs: &BTreeMap<Pid, Process>,
-        rfu: &mut Rfu,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-        callsite: Callsite,
-    ) -> bool {
-        let Some(reg) = registration(procs, key) else { return false };
-        let attempt = rfu.pfus().health(pfu).retries + 1;
-        rfu.pfus_mut().health_mut(pfu).retries = attempt;
-        let Some((circuit, _)) = rfu.pfus_mut().unload(pfu) else { return false };
-        rfu.pfus_mut().load(pfu, circuit);
+    /// scrubber's repairs all reconfigure this way. Fresh static frames
+    /// clear any corruption, and the status-register reset restarts the
+    /// interrupted instruction cleanly: a faulty slot never clocked it,
+    /// so no progress is lost. Each re-drive spends one of the slot's
+    /// reconfiguration allowance (`retries`) and emits one
+    /// [`Event::RecoveryRetry`] at `cx.at`, attributed to `callsite`.
+    /// Returns the cycles it charged, or `None` if the registration or
+    /// the slot was unexpectedly empty.
+    fn redrive(key: TupleKey, pfu: PfuIndex, callsite: Callsite, cx: &mut CisCtx) -> Option<u64> {
+        let reg = registration(cx.procs, key)?;
         let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
+        let attempt = cx.rfu.pfus().health(pfu).retries + 1;
+        cx.rfu.pfus_mut().health_mut(pfu).retries = attempt;
+        let (circuit, _) = cx.rfu.pfus_mut().unload(pfu)?;
+        cx.rfu.pfus_mut().load(pfu, circuit);
         let words = CostModel::full_words(static_bytes, state_words);
-        let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-        probe.emit(
-            at,
-            Tag::new(key.pid, callsite),
-            Event::RecoveryRetry { key, pfu, attempt, words, cost },
-        );
-        true
+        let cost = cx.costs.retry_load_cycles(static_bytes, state_words, attempt);
+        cx.emit(Tag::new(key.pid, callsite), Event::RecoveryRetry { key, pfu, attempt, words, cost });
+        Some(cost)
     }
 
     /// The DESIGN.md §9 recovery ladder for a tripped PFU watchdog.
@@ -480,35 +437,27 @@ impl Cis {
     /// climbs: bounded retry reconfiguration → software-dispatch
     /// failover → quarantine-and-relocate, killing the process only
     /// when every rung is exhausted or disabled.
-    #[allow(clippy::too_many_arguments)]
     fn recover_pfu_fault(
         &mut self,
         key: TupleKey,
         pfu: PfuIndex,
         burned: u64,
-        rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
-        faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
+        cx: &mut CisCtx,
     ) -> FaultResolution {
         // Diagnose: read the slot's frames back. The burned clocks are
         // real time the faulting issue consumed that never came back
         // through the coprocessor port, so they are charged (and
         // attributed to detection) here.
-        let kind = if rfu.pfus().health(pfu).config_corrupt {
+        let kind = if cx.rfu.pfus().health(pfu).config_corrupt {
             PfuFaultKind::CrcMismatch
         } else {
             PfuFaultKind::Watchdog
         };
         let rungs = Tag::new(key.pid, Callsite::FaultRungs);
-        let cost = burned + costs.crc_check;
-        probe.emit(at, rungs, Event::PfuFault { key, pfu, kind, cost });
+        let cost = burned + cx.costs.crc_check;
+        cx.emit(rungs, Event::PfuFault { key, pfu, kind, cost });
 
-        let Some(reg) = registration(procs, key) else {
+        let Some(reg) = registration(cx.procs, key) else {
             return FaultResolution::Kill;
         };
         debug_assert_eq!(reg.loaded_at, Some(pfu), "watchdog names the hosting slot");
@@ -516,70 +465,91 @@ impl Cis {
 
         // Rung 0 — SEU repair: corrupt frames explain the hang, and the
         // damage lives in the configuration SRAM, not the slot. Bounded
-        // by the slot's reconfiguration allowance (`retries` resets on
-        // every completion): under upsets denser than the reload time a
-        // genuinely hung slot re-corrupts before every watchdog trip,
-        // and an unconditional repair would loop here forever without
-        // ever recording a strike.
-        let repair = kind == PfuFaultKind::CrcMismatch
-            && rfu.pfus().health(pfu).retries <= recovery.max_retries;
+        // by the slot's reconfiguration allowance.
+        let repair = kind == PfuFaultKind::CrcMismatch && self.within_allowance(pfu, cx.rfu);
         if !repair {
             // A hard fault: the frames verify but the slot never
             // completes (stuck `done`, hung circuit) — or repair-in-place
             // keeps failing to clear the hang. Strike one against the
             // slot.
-            let health = rfu.pfus_mut().health_mut(pfu);
+            let health = cx.rfu.pfus_mut().health_mut(pfu);
             health.fault_count += 1;
 
             // Top rung — quarantine: a persistent offender stops being
             // allocatable, and the circuit relocates through the normal
             // placement path (relocation loads are ordinary config-bus
             // work, charged by the ordinary events).
-            if recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
+            if self.recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
                 health.quarantined = true;
-                self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-                probe.emit(at, rungs, Event::Quarantine { pfu });
+                self.unload(pfu, rungs, cx);
+                cx.emit(rungs, Event::Quarantine { pfu });
                 // The stuck slot never clocked the instruction; restart
                 // it from scratch on the new home.
-                if let Some(reg) = registration_mut(procs, key) {
+                if let Some(reg) = registration_mut(cx.procs, key) {
                     reg.status = true;
                 }
-                return self.place_and_load(
-                    key, rfu, procs, policy, recovery, faults, costs, probe, at,
-                );
+                return self.place_and_load(key, cx);
             }
         }
 
         // Rung 0's repair, or the first rung — bounded blind retries:
         // reconfigure the same slot in case the hang was transient.
-        if repair || rfu.pfus().health(pfu).retries < recovery.max_retries {
-            let redriven =
-                Self::redrive(key, pfu, procs, rfu, costs, probe, at, Callsite::FaultRungs);
+        if repair || cx.rfu.pfus().health(pfu).retries < self.recovery.max_retries {
+            let redriven = Self::redrive(key, pfu, Callsite::FaultRungs, cx).is_some();
             debug_assert!(redriven, "watchdog tripped on an empty slot");
             return if redriven { FaultResolution::Reissue } else { FaultResolution::Kill };
         }
 
         // Second rung — software failover: abandon the slot and reroute
         // the tuple through TLB2 (§2's graceful degradation).
-        if let Some(addr) = software_alt.filter(|_| recovery.software_failover) {
-            self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-            if let Some(reg) = registration_mut(procs, key) {
+        if let Some(addr) = software_alt.filter(|_| self.recovery.software_failover) {
+            self.unload(pfu, rungs, cx);
+            if let Some(reg) = registration_mut(cx.procs, key) {
                 reg.soft_active = true;
                 reg.status = true;
             }
-            let cam = rfu.tlb_sw_mut();
+            let cam = cx.rfu.tlb_sw_mut();
             let (slot, _) = self.tlb_slot(cam);
             cam.insert(slot, key, addr);
             // The TLB2 programming is charged through the failover
             // event so the work lands in the fault-recovery ledger
             // category rather than routine TLB maintenance.
-            probe.emit(at, rungs, Event::SoftwareFailover { key, pfu, cost: costs.tlb_program });
+            cx.emit(rungs, Event::SoftwareFailover { key, pfu, cost: cx.costs.tlb_program });
             return FaultResolution::Reissue;
         }
 
         // Every rung exhausted or disabled (§4.2: "terminate the
         // process").
         FaultResolution::Kill
+    }
+
+    /// One scrub pass (DESIGN.md §9): CRC-read every resident
+    /// configuration and repair corrupt frames before dispatch hits
+    /// them. Unlike the fault handler, the pass takes time as it goes:
+    /// `cx.at` advances by each check's cost and each repair's charge,
+    /// so every event is stamped where its step ends (a check) or starts
+    /// (a repair). Corruption beyond the slot's reconfiguration
+    /// allowance is left in place for the dispatch-time ladder to
+    /// escalate on.
+    pub fn scrub(&mut self, cx: &mut CisCtx) {
+        for pfu in 0..self.pfu_owner.len() {
+            if !cx.rfu.pfus().is_loaded(pfu) {
+                continue;
+            }
+            let owner = self.pfu_owner[pfu];
+            let corrupt = cx.rfu.pfus().health(pfu).config_corrupt;
+            let cost = cx.costs.crc_check;
+            cx.at += cost;
+            // Scrub work is charged to the slot's owner when it has one.
+            let tag = Tag::new(owner.map_or(0, |k| k.pid), Callsite::Scrub);
+            cx.emit(tag, Event::ScrubCheck { pfu, corrupt, cost });
+            let Some(key) = owner.filter(|_| corrupt && self.within_allowance(pfu, cx.rfu)) else {
+                continue;
+            };
+            // Repair by re-driving the configuration, the same routine
+            // as the handler's rungs.
+            cx.at += Self::redrive(key, pfu, Callsite::Scrub, cx).unwrap_or(0);
+        }
     }
 
     /// Process teardown: free its PFUs and purge its TLB entries.
@@ -599,8 +569,7 @@ impl Cis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
-    use crate::process::{ProcState, Registered};
+    use crate::process::ProcState;
     use proteus_cpu::coproc::CoprocResult;
     use proteus_cpu::cpu::Context;
     use proteus_cpu::Coprocessor;
@@ -636,13 +605,11 @@ mod tests {
         }
     }
 
-    /// A CIS with everything its fault handler touches.
+    /// A CIS with everything its calls touch.
     struct Rig {
         cis: Cis,
         rfu: Rfu,
         procs: BTreeMap<Pid, Process>,
-        pol: Box<dyn ReplacementPolicy>,
-        recovery: RecoveryPolicy,
         costs: CostModel,
         probe: Probe,
     }
@@ -653,11 +620,22 @@ mod tests {
                 cis,
                 rfu: Rfu::new(RfuConfig { pfus, ..RfuConfig::default() }),
                 procs: procs.into_iter().map(|p| (p.pid, p)).collect(),
-                pol: PolicyKind::RoundRobin.build(),
-                recovery: RecoveryPolicy::default(),
                 costs: CostModel::default(),
                 probe: Probe::new(256),
             }
+        }
+
+        /// One call context over the rig's state, stamped at `at`.
+        fn cx(&mut self, at: u64) -> (&mut Cis, CisCtx<'_>) {
+            let cx = CisCtx {
+                rfu: &mut self.rfu,
+                procs: &mut self.procs,
+                faults: None,
+                costs: &self.costs,
+                probe: &mut self.probe,
+                at,
+            };
+            (&mut self.cis, cx)
         }
 
         /// Run the fault handler for `key` at cycle 0 and return its
@@ -665,17 +643,8 @@ mod tests {
         /// exactly what the kernel adds to the clock.
         fn fault(&mut self, key: TupleKey) -> (FaultResolution, u64) {
             let before = self.probe.ledger().total();
-            let verdict = self.cis.handle_fault(
-                key,
-                &mut self.rfu,
-                &mut self.procs,
-                self.pol.as_mut(),
-                &self.recovery,
-                None,
-                &self.costs,
-                &mut self.probe,
-                0,
-            );
+            let (cis, mut cx) = self.cx(0);
+            let verdict = cis.handle_fault(key, &mut cx);
             (verdict, self.probe.ledger().total() - before)
         }
 
@@ -701,7 +670,11 @@ mod tests {
     }
 
     fn setup(n_procs: u32, pfus: usize, mode: DispatchMode, sw: Option<u32>) -> Rig {
-        Rig::new(Cis::new(pfus, mode), pfus, (1..=n_procs).map(|pid| proc_with_circuit(pid, 0, sw)))
+        Rig::new(
+            Cis::new(pfus, &KernelConfig { mode, ..KernelConfig::default() }),
+            pfus,
+            (1..=n_procs).map(|pid| proc_with_circuit(pid, 0, sw)),
+        )
     }
 
     /// Two processes registering the same configuration image on a
@@ -709,7 +682,7 @@ mod tests {
     fn sharing_rig(images: [u64; 2]) -> Rig {
         let [a, b] = images;
         Rig::new(
-            Cis::with_sharing(1, DispatchMode::HardwareOnly, true),
+            Cis::new(1, &KernelConfig { share_circuits: true, ..KernelConfig::default() }),
             1,
             [proc_with_image(1, 0, None, Some(a)), proc_with_image(2, 0, None, Some(b))],
         )
@@ -855,7 +828,7 @@ mod tests {
     #[test]
     fn stuck_done_escalates_to_quarantine_and_relocation() {
         let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None).with_watchdog();
-        rig.recovery =
+        rig.cis.recovery =
             RecoveryPolicy { max_retries: 1, software_failover: false, quarantine_threshold: Some(2) };
         let key = TupleKey::new(1, 0);
         rig.fault(key);
@@ -886,7 +859,7 @@ mod tests {
     #[test]
     fn exhausted_retries_fail_over_to_software() {
         let mut rig = setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000)).with_watchdog();
-        rig.recovery =
+        rig.cis.recovery =
             RecoveryPolicy { max_retries: 0, software_failover: true, quarantine_threshold: None };
         let key = TupleKey::new(1, 0);
         rig.fault(key);
@@ -908,7 +881,7 @@ mod tests {
     #[test]
     fn retry_only_policy_kills_on_persistent_fault() {
         let mut rig = setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000)).with_watchdog();
-        rig.recovery = RecoveryPolicy::retry_only(1);
+        rig.cis.recovery = RecoveryPolicy::retry_only(1);
         let key = TupleKey::new(1, 0);
         rig.fault(key);
         rig.rfu.pfus_mut().health_mut(0).stuck_done = true;
@@ -935,7 +908,7 @@ mod tests {
         // under `recovery`; the pinned fault is the trip's.
         fn stuck(pfus: usize, sw: Option<u32>, recovery: RecoveryPolicy) -> (Rig, TupleKey) {
             let mut rig = setup(1, pfus, HardwareOnly, sw).with_watchdog();
-            rig.recovery = recovery;
+            rig.cis.recovery = recovery;
             let key = TupleKey::new(1, 0);
             rig.fault(key);
             let home = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
@@ -1053,6 +1026,61 @@ mod tests {
         }
     }
 
+    /// A scrub pass CRC-reads every resident slot and re-drives the
+    /// corrupt ones still within their reconfiguration allowance — the
+    /// boundary retry count included — leaving those beyond it corrupt.
+    /// Each step advances the context's clock by exactly its
+    /// [`CostModel`] term, and each event is stamped where its step ends
+    /// (a check) or starts (a repair).
+    #[test]
+    fn scrub_repairs_within_the_allowance_and_stamps_each_step() {
+        let mut rig = setup(3, 3, DispatchMode::HardwareOnly, None);
+        for pid in 1..=3 {
+            rig.fault(TupleKey::new(pid, 0));
+        }
+        let home = |rig: &Rig, pid: Pid| rig.procs[&pid].circuits[&0].loaded_at.expect("loaded");
+        let (clean, within, beyond) = (home(&rig, 1), home(&rig, 2), home(&rig, 3));
+        let max = rig.cis.recovery.max_retries;
+        for (pfu, retries) in [(within, max), (beyond, max + 1)] {
+            let health = rig.rfu.pfus_mut().health_mut(pfu);
+            health.config_corrupt = true;
+            health.retries = retries;
+        }
+        let c = CostModel::default();
+        let reg = &rig.procs[&2].circuits[&0];
+        let (sb, sw) = (reg.static_bytes, reg.state_words);
+        let repair = c.retry_load_cycles(sb, sw, max + 1);
+
+        let t0 = 1_000;
+        let (ledger_before, seen) = (rig.probe.ledger().total(), rig.probe.trace().len());
+        let (cis, mut cx) = rig.cx(t0);
+        cis.scrub(&mut cx);
+        let end = cx.at;
+
+        let crc = c.crc_check;
+        assert_eq!(end - t0, 3 * crc + repair, "three checks and one repair");
+        assert_eq!(rig.probe.ledger().total() - ledger_before, end - t0, "the ledger books it all");
+        let tag = |pid| Tag::new(pid, Callsite::Scrub);
+        let check = |pfu, corrupt| Event::ScrubCheck { pfu, corrupt, cost: crc };
+        let retry = Event::RecoveryRetry {
+            key: TupleKey::new(2, 0),
+            pfu: within,
+            attempt: max + 1,
+            words: CostModel::full_words(sb, sw),
+            cost: repair,
+        };
+        let expected = [
+            (t0 + crc, tag(1), check(clean, false)),
+            (t0 + 2 * crc, tag(2), check(within, true)),
+            (t0 + 2 * crc, tag(2), retry),
+            (t0 + 3 * crc + repair, tag(3), check(beyond, true)),
+        ];
+        assert_eq!(rig.probe.trace().snapshot()[seen..], expected);
+        assert!(!rig.rfu.pfus().health(within).config_corrupt, "re-driven frames are clean");
+        let left = rig.rfu.pfus().health(beyond);
+        assert!(left.config_corrupt && left.retries == max + 1, "beyond the allowance: untouched");
+    }
+
     #[test]
     fn eviction_preserves_mid_instruction_state() {
         // One PFU, two processes with multi-cycle circuits: process 1's
@@ -1066,7 +1094,7 @@ mod tests {
             );
             p
         });
-        let mut rig = Rig::new(Cis::new(1, DispatchMode::HardwareOnly), 1, procs);
+        let mut rig = Rig::new(Cis::new(1, &KernelConfig::default()), 1, procs);
 
         rig.fault(TupleKey::new(1, 0));
         // Run 4 of 10 cycles, then get interrupted.

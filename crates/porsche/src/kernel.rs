@@ -10,10 +10,10 @@ use proteus_cpu::{Coprocessor, Cpu, MemError, Memory};
 use proteus_isa::Program;
 use proteus_rfu::{Rfu, TupleKey};
 
-use crate::cis::{Cis, DispatchMode, FaultResolution};
+use crate::cis::{Cis, CisCtx, DispatchMode, FaultResolution};
 use crate::costs::CostModel;
 use crate::fault::{FaultPlan, FaultUnit, RecoveryPolicy};
-use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::policy::PolicyKind;
 use crate::probe::{AttributedLedger, Callsite, CycleLedger, Event, EventSink, Probe, Tag};
 use crate::process::{CircuitSpec, Pid, ProcState, Process, Registered};
 use crate::stats::KernelStats;
@@ -35,6 +35,18 @@ pub mod swi {
     pub const GETPID: u32 = 4;
 }
 
+/// Per-process memory size in bytes when a [`SpawnSpec`] names none.
+pub const DEFAULT_MEM: u32 = 1 << 20;
+
+/// Minimum run time, in cycles, guaranteed after a custom-instruction
+/// fault is resolved. Without it, a quantum shorter than the
+/// configuration load time livelocks under contention: every process
+/// spends its whole quantum inside the fault handler, is preempted
+/// before reissuing, and finds its circuit evicted when it runs again.
+/// The paper's quanta (1 ms / 10 ms) dwarf the 54 KB load so it never
+/// sees this; the guarantee only matters for aggressive quanta.
+pub const POST_FAULT_GRACE: u64 = 2_000;
+
 /// Kernel configuration.
 #[derive(Debug)]
 pub struct KernelConfig {
@@ -43,12 +55,10 @@ pub struct KernelConfig {
     pub quantum: u64,
     /// Management cycle costs.
     pub costs: CostModel,
-    /// PFU replacement policy.
+    /// PFU replacement policy (the CIS builds its instance).
     pub policy: PolicyKind,
     /// Contention resolution mode.
     pub mode: DispatchMode,
-    /// Default per-process memory size in bytes.
-    pub default_mem: u32,
     /// Event-trace capacity: keep at most this many timeline events
     /// (see [`crate::trace::Trace`]); 0 disables tracing.
     pub trace_capacity: usize,
@@ -56,14 +66,6 @@ pub struct KernelConfig {
     /// the same configuration image share a PFU via state-frame swaps.
     /// The paper's experiments run with this off.
     pub share_circuits: bool,
-    /// Minimum run time guaranteed after a custom-instruction fault is
-    /// resolved. Without it, a quantum shorter than the configuration
-    /// load time livelocks under contention: every process spends its
-    /// whole quantum inside the fault handler, is preempted before
-    /// reissuing, and finds its circuit evicted when it runs again. The
-    /// paper's quanta (1 ms / 10 ms) dwarf the 54 KB load so it never
-    /// sees this; the guarantee only matters for aggressive quanta.
-    pub post_fault_grace: u64,
     /// Fault-injection plan (SEU arrivals, transit errors, a stuck
     /// slot, scrub cadence); `None` simulates a fault-free machine.
     pub faults: Option<FaultPlan>,
@@ -79,10 +81,8 @@ impl Default for KernelConfig {
             costs: CostModel::default(),
             policy: PolicyKind::RoundRobin,
             mode: DispatchMode::HardwareOnly,
-            default_mem: 1 << 20,
             trace_capacity: 0,
             share_circuits: false,
-            post_fault_grace: 2_000,
             faults: None,
             recovery: RecoveryPolicy::default(),
         }
@@ -228,7 +228,6 @@ pub struct Kernel {
     current: Option<Pid>,
     next_pid: Pid,
     cis: Option<Cis>,
-    policy: Box<dyn ReplacementPolicy>,
     probe: Probe,
     quantum_end: u64,
     faults: Option<FaultUnit>,
@@ -237,7 +236,6 @@ pub struct Kernel {
 impl Kernel {
     /// A kernel with no processes.
     pub fn new(config: KernelConfig) -> Self {
-        let policy = config.policy.build();
         let probe = Probe::new(config.trace_capacity);
         let faults = config.faults.map(FaultUnit::new);
         Self {
@@ -247,7 +245,6 @@ impl Kernel {
             current: None,
             next_pid: 1,
             cis: None,
-            policy,
             probe,
             quantum_end: 0,
             faults,
@@ -277,9 +274,11 @@ impl Kernel {
     ///
     /// As for [`Kernel::spawn`].
     pub fn spawn_at(&mut self, spec: SpawnSpec, at: u64) -> Result<Pid, KernelError> {
+        // The pid is taken only once the spec validates, so a failed
+        // spawn leaves no gap in the sequence; its error names the pid
+        // the process would have had.
         let pid = self.next_pid;
-        self.next_pid += 1;
-        let mem_size = if spec.mem_size == 0 { self.config.default_mem } else { spec.mem_size };
+        let mem_size = if spec.mem_size == 0 { DEFAULT_MEM } else { spec.mem_size };
         let mut mem = Memory::new(mem_size);
         let mut addr = spec.origin;
         for &w in &spec.words {
@@ -293,9 +292,10 @@ impl Kernel {
         for c in spec.circuits {
             let reg = Registered::with_image(c.circuit, c.software_alt, c.image);
             if circuits.insert(c.cid, reg).is_some() {
-                return Err(KernelError::DuplicateCid { pid, cid: 0 });
+                return Err(KernelError::DuplicateCid { pid, cid: c.cid });
             }
         }
+        self.next_pid += 1;
         self.procs.insert(
             pid,
             Process {
@@ -437,57 +437,35 @@ impl Kernel {
             }
         }
         if fu.take_due_scrub(now) {
-            self.scrub(cpu, rfu);
+            self.with_cis(cpu, rfu, Cis::scrub);
         }
     }
 
-    /// One scrub pass (DESIGN.md §9): CRC-read every resident
-    /// configuration and repair corrupt frames before dispatch hits
-    /// them. Detection and repair advance the simulated clock.
-    fn scrub(&mut self, cpu: &mut Cpu, rfu: &mut Rfu) {
-        let owners: Vec<Option<TupleKey>> = match self.cis.as_ref() {
-            Some(cis) => cis.pfu_owners().to_vec(),
-            None => return,
-        };
-        for (pfu, owner) in owners.iter().enumerate() {
-            if !rfu.pfus().is_loaded(pfu) {
-                continue;
-            }
-            let corrupt = rfu.pfus().health(pfu).config_corrupt;
-            let cost = self.config.costs.crc_check;
-            cpu.add_cycles(cost);
-            // Scrub work is charged to the slot's owner when it has one.
-            let tag = Tag::new(owner.map_or(0, |k| k.pid), Callsite::Scrub);
-            self.probe.emit(cpu.cycles(), tag, Event::ScrubCheck { pfu, corrupt, cost });
-            if !corrupt {
-                continue;
-            }
-            let Some(key) = *owner else { continue };
-            // Repairs share the slot's reconfiguration allowance
-            // (`retries`, reset on every completion) with the fault
-            // handler's rung 0: under upsets denser than the reload
-            // time an unconditional scrubber re-repairs at every
-            // scheduling boundary and starves execution outright.
-            // Beyond the allowance the corruption is left in place for
-            // the dispatch-time ladder to escalate on.
-            if rfu.pfus().health(pfu).retries > self.config.recovery.max_retries {
-                continue;
-            }
-            // Repair by re-driving the configuration, the same routine
-            // as the handler's rungs, and charge what it booked.
-            let before = self.probe.ledger().total();
-            Cis::redrive(
-                key,
-                pfu,
-                &self.procs,
+    /// Run `f` on the CIS (built on first use) with one call context
+    /// stamped at the current clock, and charge the CPU exactly what
+    /// the call booked on the probe's ledger.
+    fn with_cis<R>(
+        &mut self,
+        cpu: &mut Cpu,
+        rfu: &mut Rfu,
+        f: impl FnOnce(&mut Cis, &mut CisCtx) -> R,
+    ) -> R {
+        let pfus = rfu.config().pfus;
+        let cis = self.cis.get_or_insert_with(|| Cis::new(pfus, &self.config));
+        let before = self.probe.ledger().total();
+        let out = f(
+            cis,
+            &mut CisCtx {
                 rfu,
-                &self.config.costs,
-                &mut self.probe,
-                cpu.cycles(),
-                Callsite::Scrub,
-            );
-            cpu.add_cycles(self.probe.ledger().total() - before);
-        }
+                procs: &mut self.procs,
+                faults: self.faults.as_mut(),
+                costs: &self.config.costs,
+                probe: &mut self.probe,
+                at: cpu.cycles(),
+            },
+        );
+        cpu.add_cycles(self.probe.ledger().total() - before);
+        out
     }
 
     /// Timer-driven pre-emption: rotate the ready queue.
@@ -629,13 +607,6 @@ impl Kernel {
         stop_cycle: u64,
         cycle_limit: u64,
     ) -> Result<bool, KernelError> {
-        if self.cis.is_none() {
-            self.cis = Some(Cis::with_sharing(
-                rfu.config().pfus,
-                self.config.mode,
-                self.config.share_circuits,
-            ));
-        }
         // Dispatch the first process.
         if self.current.is_none() {
             if let Some(first) = self.ready.pop_front() {
@@ -703,32 +674,12 @@ impl Kernel {
                 Stop::Swi { imm } => self.syscall(imm, cpu, rfu),
                 Stop::CustomFault { cid, .. } => {
                     let key = TupleKey::new(pid, cid);
-                    let Some(cis) = self.cis.as_mut() else {
-                        // Created at function entry; cannot be absent.
-                        debug_assert!(false, "CIS missing during dispatch");
-                        self.terminate(ProcState::Killed, cpu, rfu);
-                        continue;
-                    };
-                    // The handler's cost is exactly what its events
-                    // booked on the ledger.
-                    let before = self.probe.ledger().total();
-                    let resolution = cis.handle_fault(
-                        key,
-                        rfu,
-                        &mut self.procs,
-                        self.policy.as_mut(),
-                        &self.config.recovery,
-                        self.faults.as_mut(),
-                        &self.config.costs,
-                        &mut self.probe,
-                        cpu.cycles(),
-                    );
-                    cpu.add_cycles(self.probe.ledger().total() - before);
+                    let resolution = self.with_cis(cpu, rfu, |cis, cx| cis.handle_fault(key, cx));
                     match resolution {
                         FaultResolution::Reissue => {
-                            // Progress guarantee (see KernelConfig).
+                            // Progress guarantee (see POST_FAULT_GRACE).
                             self.quantum_end =
-                                self.quantum_end.max(cpu.cycles() + self.config.post_fault_grace);
+                                self.quantum_end.max(cpu.cycles() + POST_FAULT_GRACE);
                         }
                         FaultResolution::Kill => self.terminate(ProcState::Killed, cpu, rfu),
                     }
@@ -899,6 +850,23 @@ mod tests {
         // exits the remaining yields become cheap timer ticks.
         assert!(report.stats.context_switches >= 2, "stats: {:?}", report.stats);
         assert!(report.stats.timer_ticks >= 40, "stats: {:?}", report.stats);
+    }
+
+    #[test]
+    fn duplicate_cid_names_the_collision_and_leaves_no_pid_gap() {
+        let p = assemble("mov r0, #0\n swi #0\n").expect("asm");
+        let add = |cid| CircuitSpec {
+            cid,
+            circuit: Box::new(FixedLatency::new("add", 1, 4, |a, b| a.wrapping_add(b))),
+            software_alt: None,
+            image: None,
+        };
+        let mut k = Kernel::new(KernelConfig::default());
+        match k.spawn(SpawnSpec::new(&p).circuit(add(3)).circuit(add(3))) {
+            Err(KernelError::DuplicateCid { pid: 1, cid: 3 }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(k.spawn(SpawnSpec::new(&p).circuit(add(3))).expect("spawn"), 1);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   machine run loop;
 //! * [`cis`] — the Custom Instruction Scheduler: circuit registration,
 //!   the custom-instruction fault handler (mapping-fault fast path vs.
-//!   full configuration load), dispatch-TLB management and the
-//!   state-frames-only swap of §4.1;
+//!   full configuration load), the replacement policy it owns,
+//!   dispatch-TLB management, the state-frames-only swap of §4.1, and
+//!   the recovery ladder and scrub pass; the kernel lends it one
+//!   [`cis::CisCtx`] per call;
 //! * [`policy`] — PFU replacement policies: the paper's round-robin and
 //!   random, plus the LRU / Second Chance / FIFO family that §4.5's
 //!   usage counters enable;

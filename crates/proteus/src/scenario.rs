@@ -18,6 +18,10 @@ use proteus_rfu::RfuConfig;
 
 use crate::machine::{Machine, MachineConfig};
 
+/// Safety valve for runaway runs: simulated cycles after which a
+/// scenario with live processes fails with [`KernelError::CycleLimit`].
+const CYCLE_LIMIT: u64 = 500_000_000_000;
+
 /// Builder for one run of the paper's experimental setup: between 1 and
 /// N concurrent instances of a test application (paper §5.1; "sharing is
 /// not allowed", which holds here automatically because every instance
@@ -65,7 +69,6 @@ pub struct Scenario {
     tlb_capacity: usize,
     costs: CostModel,
     share_circuits: bool,
-    cycle_limit: u64,
     trace_capacity: usize,
     faults: Option<FaultPlan>,
     recovery: RecoveryPolicy,
@@ -92,7 +95,6 @@ impl Scenario {
             tlb_capacity: 16,
             costs: CostModel::default(),
             share_circuits: false,
-            cycle_limit: 500_000_000_000,
             trace_capacity: 0,
             faults: None,
             recovery: RecoveryPolicy::default(),
@@ -169,12 +171,6 @@ impl Scenario {
     /// state-frame swaps. The paper's experiments disable this.
     pub fn sharing(mut self, on: bool) -> Self {
         self.share_circuits = on;
-        self
-    }
-
-    /// Safety valve for runaway runs.
-    pub fn cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
         self
     }
 
@@ -257,12 +253,10 @@ impl Scenario {
                 costs: self.costs,
                 policy: self.policy,
                 mode: self.mode,
-                default_mem: 1 << 20,
                 share_circuits: self.share_circuits,
                 trace_capacity: self.trace_capacity,
                 faults: self.faults,
                 recovery: self.recovery,
-                ..KernelConfig::default()
             },
             rfu: RfuConfig {
                 pfus: self.pfus,
@@ -283,7 +277,7 @@ impl Scenario {
                 // Always advance, even to an arrival already in the
                 // past: the call also dispatches the first ready
                 // process.
-                if machine.advance_until(clock, self.cycle_limit)? {
+                if machine.advance_until(clock, CYCLE_LIMIT)? {
                     // Nothing runnable: the workstation sits idle until
                     // the job arrives.
                     machine.idle_until(clock);
@@ -296,7 +290,7 @@ impl Scenario {
             let pid = machine.spawn(spec.spawn_spec(self.with_software_alt))?;
             jobs.push((pid, arrival, spec.expected_checksum()));
         }
-        let report = machine.run(self.cycle_limit)?;
+        let report = machine.run(CYCLE_LIMIT)?;
         let valid = report.killed.is_empty()
             && report.exited.len() == jobs.len()
             && jobs.iter().all(|&(pid, _, expected)| {

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: build, test, and verify the parallel experiment runner is
-# deterministic (a --jobs 2 run must produce byte-identical CSVs to a
-# --jobs 1 run).
+# Tier-1 CI: build, lint, test, and verify every experiment reproduces
+# its committed quick-scale golden at one and at two workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,57 +13,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== test =="
 cargo test -q --workspace
 
-echo "== repro determinism (fig2, --jobs 1 vs --jobs 2) =="
+echo "== quick-scale goldens (every figure and breakdown CSV, --jobs 1 and --jobs 2) =="
+# Every experiment is deterministic (fault injection and arrival gaps are
+# seeded), so each CSV a quick-scale `all` run writes must reproduce its
+# committed golden bit-for-bit, whatever the worker count.
 serial_dir=target/ci-repro/serial
 parallel_dir=target/ci-repro/parallel
 rm -rf "$serial_dir" "$parallel_dir"
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 1 --out "$serial_dir" fig2 >/dev/null
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 2 --out "$parallel_dir" fig2 >/dev/null
-diff "$serial_dir/fig2.csv" "$parallel_dir/fig2.csv"
-diff "$serial_dir/breakdown_fig2.csv" "$parallel_dir/breakdown_fig2.csv"
-for f in "$serial_dir/summary.json" "$parallel_dir/summary.json"; do
-    test -s "$f" || { echo "missing $f" >&2; exit 1; }
+for run in "1 $serial_dir" "2 $parallel_dir"; do
+    read -r jobs dir <<<"$run"
+    cargo run --release -p proteus-bench --bin repro -- \
+        --quick --jobs "$jobs" --out "$dir" all >/dev/null
+    test -s "$dir/summary.json" || { echo "missing $dir/summary.json" >&2; exit 1; }
+    for golden in scripts/golden/*_quick.csv; do
+        test -f "$dir/$(basename "$golden" _quick.csv).csv" \
+            || { echo "--jobs $jobs wrote no CSV for $golden" >&2; exit 1; }
+    done
+    for csv in "$dir"/*.csv; do
+        diff "scripts/golden/$(basename "$csv" .csv)_quick.csv" "$csv"
+    done
 done
-echo "CSVs byte-identical across job counts; summary.json emitted"
-
-echo "== fault-campaign smoke (quick scale, --jobs 1 vs --jobs 2, golden diff) =="
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 1 --out "$serial_dir" faults >/dev/null
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 2 --out "$parallel_dir" faults >/dev/null
-diff "$serial_dir/fault_campaign.csv" "$parallel_dir/fault_campaign.csv"
-diff "$serial_dir/breakdown_fault_campaign.csv" "$parallel_dir/breakdown_fault_campaign.csv"
-# Fault injection is seeded: the quick-scale campaign must reproduce the
-# committed golden matrix bit-for-bit on every host.
-diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
-echo "fault campaign deterministic and matches the golden matrix"
-
-echo "== dynamic-load smoke (quick scale, --jobs 1 vs --jobs 2, golden diff) =="
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 1 --out "$serial_dir" dynamic >/dev/null
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 2 --out "$parallel_dir" dynamic >/dev/null
-diff "$serial_dir/dynamic_load.csv" "$parallel_dir/dynamic_load.csv"
-diff "$serial_dir/breakdown_dynamic_load.csv" "$parallel_dir/breakdown_dynamic_load.csv"
-# Arrival gaps are seeded: the quick-scale turnaround curves and their
-# cycle attribution must reproduce the committed goldens bit-for-bit.
-diff scripts/golden/dynamic_load_quick.csv "$serial_dir/dynamic_load.csv"
-diff scripts/golden/breakdown_dynamic_load_quick.csv "$serial_dir/breakdown_dynamic_load.csv"
-echo "dynamic load deterministic and matches the goldens"
-
-echo "== quick-scale goldens (every figure and breakdown CSV) =="
-# Every experiment is deterministic, so each CSV a quick-scale `all` run
-# writes must have a committed golden and reproduce it bit-for-bit.
-golden_dir=target/ci-repro/golden
-rm -rf "$golden_dir"
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --jobs 1 --out "$golden_dir" all >/dev/null
-for csv in "$golden_dir"/*.csv; do
-    diff "scripts/golden/$(basename "$csv" .csv)_quick.csv" "$csv"
-done
-echo "all quick-scale CSVs match their goldens"
+echo "all quick-scale CSVs match their goldens at --jobs 1 and --jobs 2; summary.json emitted"
 
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
