@@ -825,6 +825,41 @@ mod tests {
         ));
     }
 
+    /// Rung 0 repairs a CRC-mismatch trip in place while the slot's
+    /// allowance holds — the boundary retry count included — and a slot
+    /// one re-drive beyond it takes a strike instead.
+    #[test]
+    fn seu_repair_honours_the_allowance_boundary() {
+        let max = RecoveryPolicy::default().max_retries;
+        for (retries, repaired) in [(max, true), (max + 1, false)] {
+            let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None).with_watchdog();
+            let key = TupleKey::new(1, 0);
+            rig.fault(key);
+            let pfu = rig.procs[&1].circuits[&0].loaded_at.expect("loaded");
+            let health = rig.rfu.pfus_mut().health_mut(pfu);
+            health.config_corrupt = true;
+            health.retries = retries;
+            rig.trip(1);
+
+            let (verdict, _) = rig.fault(key);
+            let health = rig.rfu.pfus().health(pfu);
+            assert_eq!(rig.probe.stats().crc_errors, 1, "retries={retries}");
+            if repaired {
+                assert_eq!(verdict, FaultResolution::Reissue);
+                assert_eq!(rig.procs[&1].circuits[&0].loaded_at, Some(pfu), "same slot");
+                assert_eq!(health.fault_count, 0, "a repair is no strike");
+                assert_eq!(rig.probe.stats().recovery_retries, 1);
+                assert!(!health.config_corrupt && health.retries == max + 1);
+            } else {
+                // No software alternative and no retries left: a strike,
+                // then the ladder bottoms out.
+                assert_eq!(verdict, FaultResolution::Kill);
+                assert_eq!(health.fault_count, 1, "beyond the allowance: a strike");
+                assert_eq!(rig.probe.stats().recovery_retries, 0);
+            }
+        }
+    }
+
     #[test]
     fn stuck_done_escalates_to_quarantine_and_relocation() {
         let mut rig = setup(1, 4, DispatchMode::HardwareOnly, None).with_watchdog();

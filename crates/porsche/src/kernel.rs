@@ -349,8 +349,10 @@ impl Kernel {
         self.probe.add_sink(sink);
     }
 
-    /// Record `cycles` of externally-imposed idle time ending at `at`
-    /// (the embedder advances the clock; the kernel attributes it).
+    /// Record `cycles` of externally-imposed idle time starting at `at`,
+    /// its first idle cycle (the embedder advances the clock; the kernel
+    /// attributes it). The [`Event::Idle`] is stamped at `at`, unlike a
+    /// compute span, which is stamped at its end.
     pub fn note_idle(&mut self, at: u64, cycles: u64) {
         if cycles > 0 {
             self.probe.idle_span(at, cycles);
@@ -393,10 +395,8 @@ impl Kernel {
     /// Attribute a guest execution span that started at `span_start`,
     /// splitting it into user, custom-execute and software-dispatch
     /// cycles using the CPU's execution mix and the RFU's dispatch
-    /// counters (both drained per span) — O(1) work per quantum. Goes
-    /// through [`Probe::compute_span`], which only materialises an
-    /// [`Event::Compute`] when an observer beyond the built-in folds is
-    /// attached.
+    /// counters (both drained per span) — O(1) work per quantum. The
+    /// [`Event::Compute`] is stamped at the span's end.
     fn attribute_span(&mut self, pid: Pid, span_start: u64, cpu: &mut Cpu, rfu: &mut Rfu) {
         let mix = cpu.take_exec_mix();
         let counters = rfu.take_dispatch_counters();

@@ -23,7 +23,6 @@
 //! attribution), which is what the flamegraph and Chrome-trace
 //! exporters are built on.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use proteus_rfu::TupleKey;
@@ -128,7 +127,8 @@ pub enum Event {
         cost: u64,
     },
     /// A span of guest execution completed (emitted when control
-    /// returns to the kernel), split by where the cycles went.
+    /// returns to the kernel, stamped at the span's end), split by where
+    /// the cycles went.
     Compute {
         /// The process that ran.
         pid: Pid,
@@ -145,7 +145,8 @@ pub enum Event {
         /// Custom instructions dispatched to software in this span.
         sw_dispatches: u64,
     },
-    /// The machine sat idle waiting for external work to arrive.
+    /// The machine sat idle waiting for external work to arrive,
+    /// stamped at the span's first idle cycle.
     Idle {
         /// Idle cycles.
         cycles: u64,
@@ -636,61 +637,69 @@ impl EventSink for CycleLedger {
     }
 }
 
-/// The per-process × per-callsite × category cycle matrix: the same
-/// fold as [`CycleLedger`], but keyed by each event's [`Tag`], so the
-/// global breakdown can be sliced by *who* the work was for and *which*
-/// kernel path did it.
+/// The per-process × per-callsite × category cycle matrix: the
+/// [`CycleLedger`] fold, booked into the cell named by each event's
+/// [`Tag`], so the global breakdown can be sliced by *who* the work was
+/// for and *which* kernel path did it.
 ///
 /// Conservation survives attribution by construction: every event's
 /// category delta lands in exactly one `(pid, callsite)` cell, so
 /// [`AttributedLedger::refold`] reproduces the global ledger and
-/// [`AttributedLedger::total`] equals the simulated clock. Cells are a
-/// `BTreeMap`, so iteration (and every export built on it) is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// [`AttributedLedger::total`] equals the simulated clock. Pids are
+/// dense from 1 (0 is the kernel), so the matrix is one row per pid,
+/// up to the largest pid booked, with one cell per callsite in
+/// [`Callsite::ALL`] order. Every view — iteration, equality and the
+/// exports built on them — sees only the non-zero cells in
+/// `(pid, callsite)` order, however far the storage grew.
+#[derive(Debug, Clone, Default)]
 pub struct AttributedLedger {
-    cells: BTreeMap<(Pid, Callsite), CycleLedger>,
+    rows: Vec<[CycleLedger; Callsite::ALL.len()]>,
 }
 
 impl AttributedLedger {
-    fn cell(&mut self, pid: Pid, callsite: Callsite) -> &mut CycleLedger {
-        self.cells.entry((pid, callsite)).or_default()
+    fn row(&mut self, pid: Pid) -> &mut [CycleLedger; Callsite::ALL.len()] {
+        let pid = pid as usize;
+        if pid >= self.rows.len() {
+            self.rows.resize(pid + 1, Default::default());
+        }
+        &mut self.rows[pid]
     }
 
-    /// Attribute a compute span, splitting it across the dispatch
-    /// callsites: user cycles under [`Callsite::Compute`],
+    /// Book `event` into its cell and return its category delta (the
+    /// one [`CycleLedger`] match per event). Compute spans split across
+    /// the dispatch callsites: user cycles under [`Callsite::Compute`],
     /// custom-execute under [`Callsite::HwDispatch`], handler cycles
-    /// under [`Callsite::SwDispatch`]. Also the
-    /// [`Probe::compute_span`] fast path, so it must stay equivalent to
-    /// folding an [`Event::Compute`].
-    pub fn add_compute(&mut self, pid: Pid, user: u64, custom: u64, soft: u64) {
-        if user > 0 {
-            self.cell(pid, Callsite::Compute).user_compute += user;
+    /// under [`Callsite::SwDispatch`]; the event's own pid equals the
+    /// tag's.
+    fn book(&mut self, tag: Tag, event: &Event) -> CycleLedger {
+        let mut delta = CycleLedger::default();
+        delta.on_event(0, tag, event);
+        if let Event::Compute { pid, .. } = *event {
+            let row = self.row(pid);
+            row[Callsite::Compute as usize].user_compute += delta.user_compute;
+            row[Callsite::HwDispatch as usize].custom_execute += delta.custom_execute;
+            row[Callsite::SwDispatch as usize].soft_dispatch += delta.soft_dispatch;
+        } else {
+            self.row(tag.pid)[tag.callsite as usize].absorb(&delta);
         }
-        if custom > 0 {
-            self.cell(pid, Callsite::HwDispatch).custom_execute += custom;
-        }
-        if soft > 0 {
-            self.cell(pid, Callsite::SwDispatch).soft_dispatch += soft;
-        }
-    }
-
-    /// Attribute an idle span (the [`Probe::idle_span`] fast path).
-    pub fn add_idle(&mut self, cycles: u64) {
-        if cycles > 0 {
-            self.cell(0, Callsite::Idle).idle += cycles;
-        }
+        delta
     }
 
     /// Iterate the non-empty cells in deterministic `(pid, callsite)`
     /// order.
     pub fn cells(&self) -> impl Iterator<Item = (Pid, Callsite, &CycleLedger)> + '_ {
-        self.cells.iter().map(|(&(pid, callsite), ledger)| (pid, callsite, ledger))
+        self.rows.iter().enumerate().flat_map(|(pid, row)| {
+            Callsite::ALL
+                .iter()
+                .zip(row)
+                .filter(|(_, ledger)| ledger.total() > 0)
+                .map(move |(&callsite, ledger)| (pid as Pid, callsite, ledger))
+        })
     }
 
     /// True when nothing has been attributed.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells().next().is_none()
     }
 
     /// Collapse the matrix back into one global [`CycleLedger`]. Equals
@@ -698,7 +707,7 @@ impl AttributedLedger {
     /// law extended through attribution.
     pub fn refold(&self) -> CycleLedger {
         let mut out = CycleLedger::default();
-        for ledger in self.cells.values() {
+        for (_, _, ledger) in self.cells() {
             out.absorb(ledger);
         }
         out
@@ -706,15 +715,15 @@ impl AttributedLedger {
 
     /// Total attributed cycles (equals the simulated clock over a run).
     pub fn total(&self) -> u64 {
-        self.cells.values().map(CycleLedger::total).sum()
+        self.cells().map(|(_, _, ledger)| ledger.total()).sum()
     }
 
     /// Merge another matrix into this one (cell-wise; used by the
     /// runner to assemble per-job matrices into a figure-wide one —
     /// u64 sums commute, so assembly order cannot affect the result).
     pub fn absorb(&mut self, other: &AttributedLedger) {
-        for (&(pid, callsite), ledger) in &other.cells {
-            self.cell(pid, callsite).absorb(ledger);
+        for (pid, callsite, ledger) in other.cells() {
+            self.row(pid)[callsite as usize].absorb(ledger);
         }
     }
 
@@ -772,26 +781,17 @@ impl AttributedLedger {
     }
 }
 
+impl PartialEq for AttributedLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells().eq(other.cells())
+    }
+}
+
+impl Eq for AttributedLedger {}
+
 impl EventSink for AttributedLedger {
-    fn on_event(&mut self, at: u64, tag: Tag, event: &Event) {
-        match *event {
-            // Compute spans split across the dispatch callsites; the
-            // event's own pid equals the tag's.
-            Event::Compute { pid, user, custom, soft, .. } => {
-                self.add_compute(pid, user, custom, soft);
-            }
-            // Everything else books its category delta into the tag's
-            // cell. Routing through the CycleLedger fold keeps the
-            // category mapping single-sourced, so refold == global
-            // ledger by construction.
-            _ => {
-                let mut delta = CycleLedger::default();
-                delta.on_event(at, tag, event);
-                if delta.total() > 0 {
-                    self.cell(tag.pid, tag.callsite).absorb(&delta);
-                }
-            }
-        }
+    fn on_event(&mut self, _at: u64, tag: Tag, event: &Event) {
+        self.book(tag, event);
     }
 }
 
@@ -832,33 +832,21 @@ impl Probe {
     }
 
     /// Emit one event at simulated cycle `at`, attributed by `tag`, to
-    /// every sink.
+    /// every sink. The event is folded into categories once: the
+    /// attribution matrix books it and returns the delta, which the
+    /// stored ledger adds.
     pub fn emit(&mut self, at: u64, tag: Tag, event: Event) {
         self.stats.on_event(at, tag, &event);
-        self.ledger.on_event(at, tag, &event);
-        self.attributed.on_event(at, tag, &event);
+        let delta = self.attributed.book(tag, &event);
+        self.ledger.absorb(&delta);
         self.trace.on_event(at, tag, &event);
         for sink in &mut self.extra {
             sink.on_event(at, tag, &event);
         }
     }
 
-    /// `true` when something beyond the built-in folds observes the
-    /// stream: the trace ring is enabled or extra sinks are attached.
-    /// When `false`, the span-delta fast paths below skip `Event`
-    /// construction entirely — the built-in folds are updated directly,
-    /// so the observable totals are identical either way.
-    #[inline]
-    pub fn needs_events(&self) -> bool {
-        self.trace.enabled() || !self.extra.is_empty()
-    }
-
-    /// Attribute a completed compute span: the fast-path equivalent of
-    /// emitting [`Event::Compute`]. The ledger and attribution matrix
-    /// are the only built-in folds that consume compute spans
-    /// ([`KernelStats`] ignores them), so with no other observers
-    /// attached this skips `Event` construction and updates them
-    /// directly — the observable totals are identical either way.
+    /// Emit a completed compute span as an [`Event::Compute`], stamped
+    /// at `at`, the span's end.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn compute_span(
@@ -871,30 +859,18 @@ impl Probe {
         hw_dispatches: u64,
         sw_dispatches: u64,
     ) {
-        if self.needs_events() {
-            self.emit(
-                at,
-                Tag::new(pid, Callsite::Compute),
-                Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches },
-            );
-        } else {
-            self.ledger.user_compute += user;
-            self.ledger.custom_execute += custom;
-            self.ledger.soft_dispatch += soft;
-            self.attributed.add_compute(pid, user, custom, soft);
-        }
+        self.emit(
+            at,
+            Tag::new(pid, Callsite::Compute),
+            Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches },
+        );
     }
 
-    /// Attribute an idle span: the fast-path equivalent of emitting
-    /// [`Event::Idle`].
+    /// Emit an idle span as an [`Event::Idle`], stamped at `at`, the
+    /// span's first cycle.
     #[inline]
     pub fn idle_span(&mut self, at: u64, cycles: u64) {
-        if self.needs_events() {
-            self.emit(at, Tag::kernel(Callsite::Idle), Event::Idle { cycles });
-        } else {
-            self.ledger.idle += cycles;
-            self.attributed.add_idle(cycles);
-        }
+        self.emit(at, Tag::kernel(Callsite::Idle), Event::Idle { cycles });
     }
 
     /// The folded statistics.
@@ -926,6 +902,8 @@ impl Probe {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -1050,27 +1028,26 @@ mod tests {
     }
 
     #[test]
-    fn span_fast_path_matches_event_fold() {
-        // Same spans through the fast path (no observers) and the full
-        // event path (trace enabled) must produce identical ledgers.
-        let mut fast = Probe::new(0);
-        assert!(!fast.needs_events());
-        fast.compute_span(10, 1, 7, 2, 1, 1, 1);
-        fast.idle_span(60, 50);
+    fn trace_ring_leaves_ledger_and_attribution_unchanged() {
+        // Spans fold the same whether or not the trace ring records
+        // them.
+        let mut untraced = Probe::new(0);
+        untraced.compute_span(10, 1, 7, 2, 1, 1, 1);
+        untraced.idle_span(60, 50);
 
-        let mut slow = Probe::new(16);
-        assert!(slow.needs_events());
-        slow.compute_span(10, 1, 7, 2, 1, 1, 1);
-        slow.idle_span(60, 50);
+        let mut traced = Probe::new(16);
+        traced.compute_span(10, 1, 7, 2, 1, 1, 1);
+        traced.idle_span(60, 50);
 
-        assert_eq!(fast.ledger(), slow.ledger());
-        assert_eq!(fast.attributed(), slow.attributed(), "attribution matches too");
-        assert_eq!(fast.trace().len(), 0);
-        assert_eq!(slow.trace().len(), 2, "observers still get the events");
+        assert_eq!(untraced.ledger(), traced.ledger());
+        assert_eq!(untraced.attributed(), traced.attributed(), "attribution matches too");
+        assert_eq!(&traced.attributed().refold(), traced.ledger());
+        assert_eq!(untraced.trace().len(), 0);
+        assert_eq!(traced.trace().len(), 2, "the ring records both spans");
     }
 
     #[test]
-    fn extra_sinks_flip_spans_back_to_events() {
+    fn extra_sinks_see_compute_and_idle_spans() {
         struct Seen(std::sync::mpsc::Sender<String>);
         impl EventSink for Seen {
             fn on_event(&mut self, _at: u64, _tag: Tag, event: &Event) {
@@ -1080,11 +1057,92 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut probe = Probe::new(0);
         probe.add_sink(Box::new(Seen(tx)));
-        assert!(probe.needs_events());
         probe.compute_span(10, 1, 7, 2, 1, 0, 0);
         probe.idle_span(60, 50);
         let seen: Vec<String> = rx.try_iter().collect();
         assert_eq!(seen, vec!["compute pid=1 user=7 custom=2 soft=1", "idle 50"]);
+    }
+
+    #[test]
+    fn dense_matrix_orders_and_compares_by_non_zero_cells() {
+        // A row's cells are indexed by declaration order, which is the
+        // export order.
+        assert!(Callsite::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));
+        let key = |pid| TupleKey::new(pid, 0);
+        // Sparse pids: rows 1 and 3..=6 stay empty, and pid 7's
+        // zero-cost markers grow the storage without booking a cycle.
+        let stream = [
+            (5, Tag::new(7, Callsite::TlbMiss), Event::Fault { key: key(7), cost: 120 }),
+            (6, Tag::new(7, Callsite::ContextSwitch), Event::Spawn { pid: 7 }),
+            (9, Tag::new(2, Callsite::Compute), Event::Compute { pid: 2, user: 30, custom: 0, soft: 4, hw_dispatches: 0, sw_dispatches: 1 }),
+            (9, Tag::kernel(Callsite::Idle), Event::Idle { cycles: 11 }),
+            (12, Tag::new(2, Callsite::Reconfiguration), Event::BusTransfer { words: 8, cost: 40 }),
+            (14, Tag::new(9, Callsite::Reconfiguration), Event::ConfigLoad { key: key(9), pfu: 0 }),
+        ];
+        let mut whole = AttributedLedger::default();
+        for &(at, tag, event) in &stream {
+            whole.on_event(at, tag, &event);
+        }
+
+        let cells: Vec<(Pid, Callsite, u64)> =
+            whole.cells().map(|(p, c, lg)| (p, c, lg.total())).collect();
+        assert_eq!(
+            cells,
+            vec![
+                (0, Callsite::Idle, 11),
+                (2, Callsite::Compute, 30),
+                (2, Callsite::SwDispatch, 4),
+                (2, Callsite::Reconfiguration, 40),
+                (7, Callsite::TlbMiss, 120),
+            ]
+        );
+        assert_eq!(
+            whole.to_folded("s"),
+            "s;pid0;idle;idle 11\n\
+             s;pid2;compute;user_compute 30\n\
+             s;pid2;sw_dispatch;soft_dispatch 4\n\
+             s;pid2;reconfig;config_bus 40\n\
+             s;pid7;tlb_miss;fault_handling 120\n"
+        );
+        // Ties on cycles break by (pid, callsite).
+        let mut tied = whole.clone();
+        tied.on_event(20, Tag::new(7, Callsite::Syscall), &Event::Syscall { pid: 7, number: 1, cost: 40 });
+        assert_eq!(
+            tied.top_sinks(3),
+            vec![
+                (7, Callsite::TlbMiss, "fault_handling", 120),
+                (2, Callsite::Reconfiguration, "config_bus", 40),
+                (7, Callsite::Syscall, "syscall", 40),
+            ]
+        );
+
+        // Equality sees only the non-zero cells: the pid-9 marker grew
+        // `whole` to ten rows, a fold of the costed events alone to eight.
+        let mut costed = AttributedLedger::default();
+        for &(at, tag, event) in &stream[..5] {
+            costed.on_event(at, tag, &event);
+        }
+        assert_eq!(costed, whole);
+        assert_ne!(tied, whole);
+        assert!(AttributedLedger::default().is_empty());
+        assert!(!whole.is_empty());
+
+        // Absorbing in either order gives the same matrix and text.
+        let (mut front, mut back) = (AttributedLedger::default(), AttributedLedger::default());
+        for &(at, tag, event) in &stream[..3] {
+            front.on_event(at, tag, &event);
+        }
+        for &(at, tag, event) in &stream[3..] {
+            back.on_event(at, tag, &event);
+        }
+        let mut front_back = front.clone();
+        front_back.absorb(&back);
+        let mut back_front = back.clone();
+        back_front.absorb(&front);
+        assert_eq!(front_back, back_front);
+        assert_eq!(front_back, whole);
+        assert_eq!(front_back.to_folded("s"), back_front.to_folded("s"));
+        assert_eq!(front_back.refold(), whole.refold());
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Trace {
         Self { events: VecDeque::new(), capacity, dropped: 0 }
     }
 
-    /// Whether recording is active.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Record an event at `cycle`, evicting the oldest entry when full.
     pub fn record(&mut self, cycle: u64, tag: Tag, event: Event) {
         if self.capacity == 0 {
@@ -107,9 +102,10 @@ mod tests {
         assert_eq!(t.dropped(), 3);
         let cycles: Vec<u64> = t.iter().map(|(c, _, _)| c).collect();
         assert_eq!(cycles, vec![3, 4], "latest events survive");
-        assert!(t.enabled());
-        assert!(!Trace::with_capacity(0).enabled());
-        assert_eq!(Trace::with_capacity(0).dropped(), 0);
+        let mut off = Trace::with_capacity(0);
+        off.record(0, tag, Event::TimerTick { pid: 1, cost: 60 });
+        assert!(off.is_empty(), "capacity 0 records nothing");
+        assert_eq!(off.dropped(), 0);
     }
 
     #[test]

@@ -695,7 +695,7 @@ pub fn ablation_long_instructions_plan() -> ExperimentPlan {
             JobOutput {
                 points: vec![(0.0, overshoot as f64), (1.0, report.makespan as f64)],
                 sim_cycles: report.makespan,
-                breakdown: vec![(0.0, machine.cycles(), report.ledger)],
+                breakdown: Some((0.0, machine.cycles())),
                 attributed: report.attributed,
                 extra: Vec::new(),
             }

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use porsche::probe::{AttributedLedger, CycleLedger};
+use porsche::probe::AttributedLedger;
 
 use crate::scenario::{Scenario, ScenarioResult};
 use crate::series::{BreakdownRow, BreakdownSet, Series, SeriesSet};
@@ -43,9 +43,10 @@ pub struct JobOutput {
     pub points: Vec<(f64, f64)>,
     /// Simulated cycles this job advanced (for throughput accounting).
     pub sim_cycles: u64,
-    /// `(x, total_cycles, ledger)` cycle-attribution rows appended to the
-    /// plan's [`BreakdownSet`], in order.
-    pub breakdown: Vec<(f64, u64, CycleLedger)>,
+    /// `(x, total_cycles)` of the job's cycle-attribution row in the
+    /// plan's [`BreakdownSet`]; the row's ledger is
+    /// [`JobOutput::attributed`] refolded.
+    pub breakdown: Option<(f64, u64)>,
     /// Per-process × per-callsite attribution, absorbed into the plan's
     /// merged [`PlanMetrics::attributed`] ledger (cell-wise u64 sums, so
     /// the merge commutes and worker count cannot affect the result).
@@ -64,7 +65,7 @@ impl JobOutput {
         Self {
             points: vec![(x, y)],
             sim_cycles,
-            breakdown: Vec::new(),
+            breakdown: None,
             attributed: AttributedLedger::default(),
             extra: Vec::new(),
         }
@@ -77,7 +78,7 @@ impl JobOutput {
         Self {
             points: vec![(x, y)],
             sim_cycles: result.makespan,
-            breakdown: vec![(x, result.total_cycles, result.ledger)],
+            breakdown: Some((x, result.total_cycles)),
             attributed: result.attributed,
             extra: Vec::new(),
         }
@@ -307,7 +308,8 @@ impl ExperimentPlan {
             job_wall += dur;
             sim_cycles += output.sim_cycles;
             attributed.absorb(&output.attributed);
-            for (x, total, ledger) in output.breakdown {
+            if let Some((x, total)) = output.breakdown {
+                let ledger = output.attributed.refold();
                 breakdown.rows.push(BreakdownRow { series: name.clone(), x, total, ledger });
             }
             let idx = series_index(&mut set, name);

@@ -514,6 +514,36 @@ mod tests {
     }
 
     #[test]
+    fn idle_is_stamped_at_its_first_cycle() {
+        // Arrivals far apart leave the machine idle between jobs. Each
+        // idle span is stamped where it starts, so the spawn that ends
+        // it lands exactly `cycles` later.
+        let result = Scenario::new(AppKind::Alpha)
+            .instances(4)
+            .size(16)
+            .passes(1)
+            .arrivals(400_000, 7)
+            .trace_capacity(1 << 20)
+            .run()
+            .expect("run");
+        assert!(result.all_valid(), "{result:?}");
+        assert_eq!(result.trace_dropped, 0);
+        let mut idles = 0;
+        for (i, &(at, _, event)) in result.trace.iter().enumerate() {
+            if let Event::Idle { cycles } = event {
+                idles += 1;
+                match result.trace.get(i + 1) {
+                    Some(&(spawn_at, _, Event::Spawn { .. })) => {
+                        assert_eq!(spawn_at, at + cycles, "idle at {at} for {cycles}");
+                    }
+                    next => panic!("idle at {at} followed by {next:?}, not a spawn"),
+                }
+            }
+        }
+        assert!(idles > 0, "the arrival gaps leave the machine idle");
+    }
+
+    #[test]
     fn arrivals_are_deterministic_per_seed() {
         let run = |seed| arriving(5, 2_000_000, 32, 2).arrivals(2_000_000, seed).run().expect("run");
         assert_eq!(run(2003), run(2003));

@@ -44,12 +44,21 @@ diff "$serial_dir/flamegraph_fig3.folded" "$parallel_dir/flamegraph_fig3.folded"
 # Attribution is deterministic, so the quick-scale folded profile must
 # reproduce the committed golden bit-for-bit on every host.
 diff scripts/golden/flamegraph_fig3_quick.folded "$serial_dir/flamegraph_fig3.folded"
-cargo run --release -p proteus-bench --bin repro -- \
-    --quick --out "$serial_dir" --chrome-trace alpha >/dev/null
-test -s "$serial_dir/chrome_trace_alpha.json" \
-    || { echo "missing chrome_trace_alpha.json" >&2; exit 1; }
-grep -q '"traceEvents"' "$serial_dir/chrome_trace_alpha.json"
 echo "folded profile byte-identical across job counts and matches the golden"
+
+echo "== event-stream goldens (JSON-lines traces, Chrome trace) =="
+# The demo timelines are deterministic, so each event, its cycle stamp
+# and its attribution tag must reproduce the committed golden exactly.
+trace_dir=target/ci-repro/traces
+rm -rf "$trace_dir"
+cargo run --release -p proteus-bench --bin repro -- \
+    --quick --out "$trace_dir" --trace alpha --trace twofish --trace echo \
+    --chrome-trace alpha >/dev/null
+for app in alpha twofish echo; do
+    diff "scripts/golden/trace_${app}_quick.jsonl" "$trace_dir/trace_$app.jsonl"
+done
+diff scripts/golden/chrome_trace_alpha_quick.json "$trace_dir/chrome_trace_alpha.json"
+echo "event streams and the Chrome trace match their goldens"
 
 echo "== benchmark correctness gate (perfbench, makespan golden diff) =="
 # Every benchmark workload must pass perfbench's own gate (checksums,
